@@ -19,13 +19,19 @@ strip-related structure can be read off the display:
 The relabelling permutation matches the beads of the lambda-display to the
 mu-beads they migrate to; its parity is the sign that relates signed strip
 counts on lambda/mu to signed strip counts on the quotient.
+
+Decomposability, the quotient components, the relabelling and the sign all
+come from one pass over the paired displays, ``_quotient``, which works on
+plain part tuples and returns None for a shape that is not n-decomposable.
+``is_n_decomposable``, ``n_quotient``, ``unique_cycle_tableau`` and the
+quotient evaluators of :mod:`defres.deflation` all call it once per shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .borderstrips import BorderStripTableau, _partition_of_betas
+from .borderstrips import BorderStripTableau, _beta_set, _partition_of_betas
 from .partitions import Partition, SkewPartition
 from .perms import parity
 
@@ -107,6 +113,11 @@ class AbacusDisplay:
         return f"AbacusDisplay({self.runners}, {sorted(self.beads)!r})"
 
 
+def _bead_rows(length: int, n: int) -> int:
+    # the fewest full rows holding `length` parts on n runners, at least one
+    return max(1, -(-length // n))
+
+
 def display(p, n: int, rows: int | None = None) -> AbacusDisplay:
     """The canonical n-runner display of a partition.
 
@@ -117,13 +128,10 @@ def display(p, n: int, rows: int | None = None) -> AbacusDisplay:
     p = Partition(p)
     if n < 1:
         raise ValueError("need at least one runner")
-    t_min = max(1, -(-len(p) // n))
-    t = t_min if rows is None else rows
+    t = _bead_rows(len(p), n) if rows is None else rows
     if t * n < len(p) or t < 1:
         raise ValueError(f"{t} rows cannot hold {len(p)} parts on {n} runners")
-    nbeads = t * n
-    parts = p.parts + (0,) * (nbeads - len(p))
-    return AbacusDisplay(n, (parts[j] + (nbeads - 1 - j) for j in range(nbeads)))
+    return AbacusDisplay(n, _beta_set(p.parts, t * n))
 
 
 def n_core(p, n: int) -> Partition:
@@ -134,34 +142,6 @@ def n_core(p, n: int) -> Partition:
         count = len(d.runner_rows(i))
         core_beads.extend(i + n * r for r in range(count))
     return Partition(_partition_of_betas(core_beads))
-
-
-def _paired_displays(shape: SkewPartition, n: int) -> tuple[AbacusDisplay, AbacusDisplay]:
-    # same bead count for both, sized from the outer shape
-    t = max(1, -(-len(shape.outer) // n))
-    return display(shape.outer, n, rows=t), display(shape.inner, n, rows=t)
-
-
-def is_n_decomposable(shape: SkewPartition, n: int) -> bool:
-    """Whether shape admits a border-strip tableau of type (n, ..., n).
-
-    Read off the paired displays: each runner must carry equally many
-    lambda-beads and mu-beads, with the mu-rows dominated by the
-    lambda-rows when both are sorted.
-    """
-    if n < 1:
-        raise ValueError("need at least one runner")
-    if shape.size % n != 0:
-        raise ValueError(f"|{shape}| = {shape.size} is not divisible by {n}")
-    d_outer, d_inner = _paired_displays(shape, n)
-    for i in range(n):
-        rows_outer = d_outer.runner_rows(i)
-        rows_inner = d_inner.runner_rows(i)
-        if len(rows_outer) != len(rows_inner):
-            return False
-        if any(y > x for x, y in zip(rows_outer, rows_inner)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -183,28 +163,63 @@ class QuotientData:
         return len(self.components)
 
 
+def _quotient(
+    outer: tuple[int, ...], inner: tuple[int, ...], n: int
+) -> QuotientData | None:
+    # The one pass over the paired displays (equal bead counts, sized from
+    # the outer shape) behind every quotient here.  None unless each runner
+    # carries equally many outer and inner beads, the inner rows dominated
+    # by the outer rows; beads are matched runner by runner, in order.
+    nbeads = n * _bead_rows(len(outer), n)
+    runners = []
+    for parts in (outer, inner):
+        side: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for k, pos in enumerate(sorted(_beta_set(parts, nbeads))):
+            side[pos % n].append((k, pos // n))  # (bead number, row)
+        runners.append(side)
+    rho = [0] * nbeads
+    for beads_outer, beads_inner in zip(*runners):
+        if len(beads_outer) != len(beads_inner):
+            return None
+        for (k, x), (l, y) in zip(beads_outer, beads_inner):
+            if y > x:
+                return None
+            rho[k] = l
+    components = tuple(
+        SkewPartition(
+            _partition_of_betas(x for _, x in beads_outer),
+            _partition_of_betas(y for _, y in beads_inner),
+        )
+        for beads_outer, beads_inner in zip(*runners)
+    )
+    return QuotientData(components, tuple(r + 1 for r in rho), parity(tuple(rho)))
+
+
+def _check_runners(shape: SkewPartition, n: int) -> None:
+    if n < 1:
+        raise ValueError("need at least one runner")
+    if shape.size % n != 0:
+        raise ValueError(f"|{shape}| = {shape.size} is not divisible by {n}")
+
+
+def is_n_decomposable(shape: SkewPartition, n: int) -> bool:
+    """Whether shape admits a border-strip tableau of type (n, ..., n).
+
+    Read off the paired displays: each runner must carry equally many
+    lambda-beads and mu-beads, with the mu-rows dominated by the
+    lambda-rows when both are sorted.
+    """
+    _check_runners(shape, n)
+    return _quotient(shape.outer.parts, shape.inner.parts, n) is not None
+
+
 def n_quotient(shape: SkewPartition, n: int) -> QuotientData:
     """Quotient components, relabelling, and sign of an n-decomposable shape."""
-    if not is_n_decomposable(shape, n):
+    _check_runners(shape, n)
+    quotient = _quotient(shape.outer.parts, shape.inner.parts, n)
+    if quotient is None:
         raise ValueError(f"{shape} is not {n}-decomposable")
-    d_outer, d_inner = _paired_displays(shape, n)
-    num_outer = d_outer.numbering()
-    num_inner = d_inner.numbering()
-    components = []
-    rho = [0] * d_outer.bead_count
-    for i in range(n):
-        rows_outer = d_outer.runner_rows(i)
-        rows_inner = d_inner.runner_rows(i)
-        components.append(
-            SkewPartition(
-                _partition_of_betas(rows_outer), _partition_of_betas(rows_inner)
-            )
-        )
-        for x, y in zip(rows_outer, rows_inner):
-            rho[num_outer[i + n * x] - 1] = num_inner[i + n * y]
-    relabelling = tuple(rho)
-    sgn = parity(tuple(r - 1 for r in relabelling))
-    return QuotientData(tuple(components), relabelling, sgn)
+    return quotient
 
 
 def is_horizontal_strip(shape: SkewPartition) -> bool:
@@ -230,12 +245,13 @@ def unique_cycle_tableau(
         raise ValueError("m and n must be at least 1")
     if shape.size != m * n:
         raise ValueError(f"|{shape}| = {shape.size} must equal m * n = {m * n}")
-    if shape.size % n != 0 or not is_n_decomposable(shape, n):
+    quotient = _quotient(shape.outer.parts, shape.inner.parts, n)
+    if quotient is None or any(
+        not is_horizontal_strip(c) for c in quotient.components
+    ):
         return None
-    quotient = n_quotient(shape, n)
-    if any(not is_horizontal_strip(c) for c in quotient.components):
-        return None
-    d_outer, d_inner = _paired_displays(shape, n)
+    d_outer = display(shape.outer, n)
+    d_inner = display(shape.inner, n, rows=d_outer.bead_count // n)
     current = set(d_outer.beads)
     chain = [Partition(_partition_of_betas(current))]
     for _ in range(m):
@@ -270,8 +286,7 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
     alpha = tuple(c // n for c in type_)
     if any(alpha[i] < alpha[i + 1] for i in range(len(alpha) - 1)):
         raise ValueError(f"type {type_} is not n times a partition")
-    outer = t.chain[-1]
-    rows = max(1, -(-len(outer) // n))
+    rows = display(t.chain[-1], n).bead_count // n
     displays = [display(p, n, rows=rows) for p in t.chain]
     runner_chains: list[list[Partition]] = []
     runner_labels: list[list[int]] = [[] for _ in range(n)]

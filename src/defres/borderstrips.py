@@ -18,7 +18,8 @@ Three derived quantities matter:
   part repeated m times whose strips, within each block of m equal labels,
   start on weakly decreasing rows (lower labels start no higher up than
   later ones... precisely: the topmost occupied rows weakly decrease as
-  the label increases through the block).
+  the label increases through the block).  ``enumerate_bst`` is its
+  m = 1 case, where the block condition is vacuous.
 * ``a_coefficient(shape, m, gamma)`` -- the signed count of those.
 
 The recursion peels the first part of gamma off the inner shape; the
@@ -227,41 +228,6 @@ class BorderStripTableau:
         return f"BorderStripTableau({[p.parts for p in self.chain]!r})"
 
 
-def _iter_chains(
-    outer: tuple[int, ...], inner: tuple[int, ...], type_: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    # peel the last strip off the outer shape
-    if not type_:
-        if outer == inner:
-            yield (outer,)
-        return
-    for tau in _strip_removals(outer, type_[-1]):
-        if _tuple_contains(tau, inner):
-            for chain in _iter_chains(tau, inner, type_[:-1]):
-                yield chain + (outer,)
-
-
-def enumerate_bst(shape: SkewPartition, gamma) -> list[BorderStripTableau]:
-    """All border-strip tableaux of the given shape and type.
-
-    The output is sorted lexicographically on the chain of partitions.
-    """
-    gamma = Composition(gamma)
-    if gamma.size != shape.size:
-        raise ValueError(
-            f"type {gamma} must sum to |{shape}| = {shape.size}"
-        )
-    chains = sorted(
-        _iter_chains(shape.outer.parts, shape.inner.parts, gamma.parts)
-    )
-    return [BorderStripTableau(chain) for chain in chains]
-
-
-def sign(t: BorderStripTableau) -> int:
-    """(-1) to the sum of the strip heights."""
-    return t.sign
-
-
 # ---------------------------------------------------------------------------
 # signed counts
 
@@ -297,6 +263,18 @@ def mn_value(shape: SkewPartition, gamma) -> int:
     return _mn(shape.outer.parts, shape.inner.parts, gamma.parts)
 
 
+def _m_type(shape: SkewPartition, m: int, gamma) -> tuple[int, ...]:
+    # the strip lengths of an m-border-strip tableau of type gamma
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    gamma = Composition(gamma)
+    if m * gamma.size != shape.size:
+        raise ValueError(
+            f"m * |gamma| = {m * gamma.size} must equal |{shape}| = {shape.size}"
+        )
+    return repeat_parts(gamma, m).parts
+
+
 def _iter_m_chains(
     outer: tuple[int, ...],
     inner: tuple[int, ...],
@@ -330,18 +308,20 @@ def enumerate_m_bst(shape: SkewPartition, m: int, gamma) -> list[BorderStripTabl
     repeated m times, subject to the block condition on topmost rows; for
     m = 1 the condition is vacuous.  Sorted lexicographically on the chain.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    gamma = Composition(gamma)
-    if m * gamma.size != shape.size:
-        raise ValueError(
-            f"m * |gamma| = {m * gamma.size} must equal |{shape}| = {shape.size}"
-        )
-    type_ = repeat_parts(gamma, m)
+    type_ = _m_type(shape, m, gamma)
     chains = sorted(
-        _iter_m_chains(shape.outer.parts, shape.inner.parts, type_.parts, m, None)
+        _iter_m_chains(shape.outer.parts, shape.inner.parts, type_, m, None)
     )
     return [BorderStripTableau(chain) for chain in chains]
+
+
+def enumerate_bst(shape: SkewPartition, gamma) -> list[BorderStripTableau]:
+    """All border-strip tableaux of the given shape and type.
+
+    The m = 1 case of ``enumerate_m_bst``, sorted lexicographically on the
+    chain of partitions.
+    """
+    return enumerate_m_bst(shape, 1, gamma)
 
 
 @cache
@@ -376,12 +356,5 @@ def a_coefficient(shape: SkewPartition, m: int, gamma) -> int:
     agreement with the sum of signs over ``enumerate_m_bst`` is a tested
     invariant.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    gamma = Composition(gamma)
-    if m * gamma.size != shape.size:
-        raise ValueError(
-            f"m * |gamma| = {m * gamma.size} must equal |{shape}| = {shape.size}"
-        )
-    type_ = repeat_parts(gamma, m)
-    return _a_count(shape.outer.parts, shape.inner.parts, type_.parts, m, 0)
+    type_ = _m_type(shape, m, gamma)
+    return _a_count(shape.outer.parts, shape.inner.parts, type_, m, 0)

@@ -1,10 +1,11 @@
 """Exact class functions on symmetric groups.
 
 A class function on S_r is a table of integers indexed by the partitions
-of r.  Irreducible and skew characters are obtained from the signed
-strip-count recursion in :mod:`defres.borderstrips`; induction from a Young
-subgroup S_l0 x S_l1 x ... is evaluated directly by distributing whole
-cycles over the factors, which keeps everything in integer arithmetic.
+of r.  Skew characters are obtained from the signed strip-count recursion
+in :mod:`defres.borderstrips`, and an irreducible character is the skew
+character of a straight shape.  Induction from a Young subgroup
+S_l0 x S_l1 x ... is evaluated directly by distributing whole cycles over
+the factors, which keeps everything in integer arithmetic.
 
 ``induced_value`` implements the standard formula: a permutation g fixes a
 coset of the Young subgroup exactly when its cycles can be split between
@@ -12,6 +13,11 @@ the factors, each factor receiving full cycles whose lengths sum to its
 degree, and each such split contributes the product of the factor
 characters at the cycle types it received, weighted by the number of ways
 to pick which cycles of each length go where.
+
+``_multiplicity`` takes the multiplicity of an irreducible in such an
+induced character, by the inner product over the classes; it is the only
+place that does, serving ``lr_coefficient`` and the quotient evaluators of
+:mod:`defres.deflation` alike.
 """
 
 from __future__ import annotations
@@ -88,11 +94,7 @@ class ClassFunction:
 @cache
 def irreducible_character(lam) -> ClassFunction:
     """The irreducible character of S_r labelled by the partition lam."""
-    lam = Partition(lam)
-    shape = SkewPartition(lam)
-    return ClassFunction(
-        lam.size, {a: mn_value(shape, a) for a in partitions_of(lam.size)}
-    )
+    return skew_character(SkewPartition(lam))
 
 
 @cache
@@ -186,13 +188,17 @@ def lr_coefficient(kappa, factors) -> int:
     factors = tuple(Partition(f) for f in factors)
     if sum(f.size for f in factors) != kappa.size:
         raise ValueError("factor sizes must sum to |kappa|")
-    chi = irreducible_character(kappa)
-    thetas = tuple(irreducible_character(f) for f in factors)
+    return _multiplicity(
+        irreducible_character(kappa),
+        tuple(irreducible_character(f) for f in factors),
+    )
+
+
+def _multiplicity(chi: ClassFunction, thetas: tuple[ClassFunction, ...]) -> int:
+    # <chi, Ind(theta_0 x theta_1 x ...)>, an integer since chi is irreducible
     total = sum(
-        Fraction(
-            _induced(thetas, a.parts) * chi(a), centralizer_order(a)
-        )
-        for a in partitions_of(kappa.size)
+        Fraction(_induced(thetas, a.parts) * chi(a), centralizer_order(a))
+        for a in partitions_of(chi.degree)
     )
     assert total.denominator == 1, "induced character decomposition not integral"
     return int(total)

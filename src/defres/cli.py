@@ -48,6 +48,8 @@ def _resolve_theta(text: str, m: int) -> Partition:
 
 def _cmd_defres(args) -> tuple[str, dict]:
     shape: SkewPartition = args.shape
+    if args.m < 1:
+        raise ValueError(f"m must be at least 1, got {args.m}")
     if shape.size % args.m != 0:
         raise ValueError(f"m = {args.m} does not divide |shape| = {shape.size}")
     n = shape.size // args.m
@@ -125,9 +127,8 @@ def _cmd_tableaux(args) -> tuple[str, dict]:
 def _cmd_quotient(args) -> tuple[str, dict]:
     shape: SkewPartition = args.shape
     quotient = n_quotient(shape, args.n)
-    rows = max(1, -(-len(shape.outer) // args.n))
-    d_outer = display(shape.outer, args.n, rows=rows)
-    d_inner = display(shape.inner, args.n, rows=rows)
+    d_outer = display(shape.outer, args.n)
+    d_inner = display(shape.inner, args.n, rows=d_outer.bead_count // args.n)
     lines = [
         "outer display:",
         d_outer.render(),
@@ -195,14 +196,9 @@ def _cmd_verify(args) -> tuple[str, dict]:
             if m * n > args.max_size:
                 continue
             for mode, kappa in modes:
-                if mode == "general":
-                    if kappa.size != m:
-                        continue
-                    theta = kappa
-                elif mode == "trivial":
-                    theta = Partition((m,))
-                else:
-                    theta = Partition((1,) * m)
+                if mode == "general" and kappa.size != m:
+                    continue
+                theta = kappa if mode == "general" else _resolve_theta(mode, m)
                 instances = 0
                 cell_failures = 0
                 for shape in skew_shapes(m * n, args.inner_max):
@@ -227,6 +223,11 @@ def _cmd_verify(args) -> tuple[str, dict]:
                         "theta": mode if mode != "general" else str(kappa),
                     }
                 )
+    if not cells:
+        raise ValueError(
+            f"nothing to verify: no cell with m, n >= 2 and m * n <= "
+            f"{args.max_size} fits theta {args.theta or 'trivial, sign'}"
+        )
     ok = all(c["failures"] == 0 for c in cells)
     lines = [
         f"m={c['m']} n={c['n']} theta={c['theta']}: "

@@ -16,6 +16,12 @@ Two independent evaluators are provided on top of the wreath oracle:
   sign times the multiplicity of chi^kappa in the character induced from
   the quotient components.
 
+That single-cycle step is written once, in ``_single_cycle``: one pass over
+the abacus (``abacus._quotient``) yields the quotient components and sign,
+and ``characters._multiplicity`` the multiplicity.  ``farahat_check``
+shares the quotient step, and ``ncycle_vanishing`` is the step itself on a
+straight shape.
+
 ``defres_sign``, ``defres_degree`` and ``ncycle_vanishing`` are the closed
 forms for the sign character, the degree, and evaluation at an n-cycle.
 """
@@ -23,13 +29,14 @@ forms for the sign character, the degree, and evaluation at an n-cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
-from .abacus import is_n_decomposable, n_core, n_quotient
+from .abacus import _quotient
 from .borderstrips import a_coefficient, mn_value
 from .characters import (
+    ClassFunction,
     _induced,
+    _multiplicity,
     irreducible_character,
     lr_coefficient,
     skew_character,
@@ -38,9 +45,7 @@ from .partitions import (
     Composition,
     Partition,
     SkewPartition,
-    centralizer_order,
     intermediates,
-    partitions_of,
     stretch,
 )
 
@@ -84,24 +89,28 @@ def defres_theorem(query: DeflationQuery) -> int:
     return a_coefficient(query.shape, query.m, query.gamma)
 
 
+def _quotient_characters(
+    outer: tuple[int, ...], inner: tuple[int, ...], c: int
+) -> tuple[int, tuple[ClassFunction, ...]] | None:
+    # the quotient sign and component skew characters of outer/inner, or
+    # None when the shape is not c-decomposable
+    quotient = _quotient(outer, inner, c)
+    if quotient is None:
+        return None
+    return quotient.sign, tuple(skew_character(comp) for comp in quotient.components)
+
+
 @cache
 def _single_cycle(
     outer: tuple[int, ...], inner: tuple[int, ...], c: int, kappa: tuple[int, ...]
 ) -> int:
     # deflation of the skew character of outer/inner through chi^kappa,
     # evaluated at a single c-cycle
-    shape = SkewPartition(outer, inner)
-    if not is_n_decomposable(shape, c):
+    quotient = _quotient_characters(outer, inner, c)
+    if quotient is None:
         return 0
-    quotient = n_quotient(shape, c)
-    thetas = tuple(skew_character(comp) for comp in quotient.components)
-    chi = irreducible_character(Partition(kappa))
-    total = sum(
-        Fraction(_induced(thetas, a.parts) * chi(a), centralizer_order(a))
-        for a in partitions_of(chi.degree)
-    )
-    assert total.denominator == 1
-    return quotient.sign * int(total)
+    sign, thetas = quotient
+    return sign * _multiplicity(irreducible_character(Partition(kappa)), thetas)
 
 
 @cache
@@ -152,12 +161,11 @@ def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:
             f"|shape| = {shape.size} must equal n * |alpha| = {n * alpha.size}"
         )
     lhs = mn_value(shape, stretch(alpha, n))
-    if not is_n_decomposable(shape, n):
+    quotient = _quotient_characters(shape.outer.parts, shape.inner.parts, n)
+    if quotient is None:
         return lhs, 0
-    quotient = n_quotient(shape, n)
-    thetas = tuple(skew_character(comp) for comp in quotient.components)
-    rhs = quotient.sign * _induced(thetas, alpha.parts)
-    return lhs, rhs
+    sign, thetas = quotient
+    return lhs, sign * _induced(thetas, alpha.parts)
 
 
 def defres_sign(query: DeflationQuery) -> int:
@@ -200,12 +208,6 @@ def ncycle_vanishing(lam, kappa, n: int) -> int:
     """
     lam = Partition(lam)
     kappa = Partition(kappa)
-    if lam.size != kappa.size * n:
-        raise ValueError("need |lam| = |kappa| * n")
-    if n_core(lam, n) != Partition():
-        return 0
-    quotient = n_quotient(SkewPartition(lam), n)
-    components = [comp.outer for comp in quotient.components]
-    if any(not kappa.contains(comp) for comp in components):
-        return 0
-    return quotient.sign * lr_coefficient(kappa, components)
+    if n < 1 or lam.size != kappa.size * n:
+        raise ValueError("need n >= 1 and |lam| = |kappa| * n")
+    return _single_cycle(lam.parts, (), n, kappa.parts)

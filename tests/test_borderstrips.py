@@ -17,7 +17,6 @@ from defres import (
     mn_value,
     partitions_of,
     repeat_parts,
-    sign,
     skew_shapes,
     strip_meta,
 )
@@ -192,7 +191,6 @@ class TestBorderStripTableau:
         assert tuple(t.type) == (6, 3, 3, 3)
         assert [m.height for m in t.metas()] == [3, 1, 1, 0]
         assert t.sign == -1
-        assert sign(t) == -1
 
     def test_fig_render(self):
         t = BorderStripTableau(FIG1_CHAIN)

@@ -136,6 +136,15 @@ class TestDefres:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_non_positive_m_exits_1(self, capsys, m):
+        code, out, err = run(
+            capsys, "defres", "--shape", "4,2", "--m", m, "--gamma", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: m must be at least 1, got {m}\n"
+
 
 class TestTableaux:
     def test_worked_example(self, capsys):
@@ -273,6 +282,21 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[-1] == "verify: ok"
         assert all("failures" in line for line in lines[:-1])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--max-size", "-1"],
+            ["--max-size", "3"],
+            ["--max-size", "4", "--theta", "5"],
+        ],
+    )
+    def test_empty_grid_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: nothing to verify")
+        assert err.count("\n") == 1
 
 
 class TestEntryPoints:

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -8,6 +9,7 @@ from defres import (
     DeflationQuery,
     Partition,
     SkewPartition,
+    centralizer_order,
     defres_degree,
     defres_recursive,
     defres_sign,
@@ -267,3 +269,48 @@ class TestNcycleVanishing:
                     assert got == want, (lam, kappa, n)
                     theta = irreducible_character(kappa)
                     assert got == oracle_defres(SkewPartition(lam), theta, n, cycle)
+
+
+def plethysm_coefficient(lam, kappa, nu):
+    """<Defres_kappa chi^lam, chi^nu>, by the quotient recursion.
+
+    Frobenius reciprocity on S_m wr S_n makes this the coefficient of s_lam
+    in the plethysm s_nu o s_kappa, so it is a non-negative integer.
+    """
+    m, n = sum(kappa), sum(nu)
+    chi = irreducible_character(nu)
+    return sum(
+        Fraction(
+            defres_recursive(query(SkewPartition(lam), m, kappa, gamma)) * chi(gamma),
+            centralizer_order(gamma),
+        )
+        for gamma in partitions_of(n)
+    )
+
+
+class TestPlethysmMultiplicities:
+    def test_hand_checked_plethysms(self):
+        # (nu, kappa): the expansion of s_nu o s_kappa
+        cases = {
+            ((2,), (2,)): {(4,): 1, (2, 2): 1},
+            ((2,), (3,)): {(6,): 1, (4, 2): 1},
+            ((3,), (2,)): {(6,): 1, (4, 2): 1, (2, 2, 2): 1},
+        }
+        for (nu, kappa), want in cases.items():
+            got = {}
+            for lam in partitions_of(sum(nu) * sum(kappa)):
+                c = plethysm_coefficient(lam, kappa, nu)
+                if c:
+                    got[lam.parts] = c
+            assert got == want, (nu, kappa)
+
+    def test_non_negative_integers(self):
+        triples = 0
+        for m, n in itertools.product((2, 3), repeat=2):
+            for lam in partitions_of(m * n):
+                for kappa in partitions_of(m):
+                    for nu in partitions_of(n):
+                        c = plethysm_coefficient(lam, kappa.parts, nu.parts)
+                        assert c.denominator == 1 and c >= 0, (lam, kappa, nu)
+                        triples += 1
+        assert triples == 422

@@ -21,15 +21,15 @@ mu-beads they migrate to; its parity is the sign that relates signed strip
 counts on lambda/mu to signed strip counts on the quotient.
 
 Decomposability, the quotient components, the relabelling and the sign all
-come from one pass over the paired displays, ``_quotient``, which works on
-plain part tuples and returns None for a shape that is not n-decomposable.
-``is_n_decomposable``, ``n_quotient``, ``unique_cycle_tableau`` and the
-quotient evaluators of :mod:`defres.deflation` all call it once per shape.
+come from one pass over the paired displays, ``_quotient``, which keeps its
+last result, so ``is_n_decomposable`` followed by ``n_quotient`` reads a
+shape's abacus once; ``paired_displays`` draws the displays themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .borderstrips import BorderStripTableau, _beta_set, _partition_of_betas
 from .partitions import Partition, SkewPartition
@@ -163,6 +163,15 @@ class QuotientData:
         return len(self.components)
 
 
+def paired_displays(
+    shape: SkewPartition, n: int
+) -> tuple[AbacusDisplay, AbacusDisplay]:
+    """The displays of the outer and inner shape, both with the outer's rows."""
+    outer = display(shape.outer, n)
+    return outer, display(shape.inner, n, rows=_bead_rows(len(shape.outer), n))
+
+
+@lru_cache(maxsize=1)
 def _quotient(
     outer: tuple[int, ...], inner: tuple[int, ...], n: int
 ) -> QuotientData | None:
@@ -170,6 +179,7 @@ def _quotient(
     # the outer shape) behind every quotient here.  None unless each runner
     # carries equally many outer and inner beads, the inner rows dominated
     # by the outer rows; beads are matched runner by runner, in order.
+    # One entry: callers ask is_n_decomposable, then n_quotient, of a shape.
     nbeads = n * _bead_rows(len(outer), n)
     runners = []
     for parts in (outer, inner):
@@ -250,8 +260,7 @@ def unique_cycle_tableau(
         not is_horizontal_strip(c) for c in quotient.components
     ):
         return None
-    d_outer = display(shape.outer, n)
-    d_inner = display(shape.inner, n, rows=d_outer.bead_count // n)
+    d_outer, d_inner = paired_displays(shape, n)
     current = set(d_outer.beads)
     chain = [Partition(_partition_of_betas(current))]
     for _ in range(m):
@@ -286,7 +295,7 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
     alpha = tuple(c // n for c in type_)
     if any(alpha[i] < alpha[i + 1] for i in range(len(alpha) - 1)):
         raise ValueError(f"type {type_} is not n times a partition")
-    rows = display(t.chain[-1], n).bead_count // n
+    rows = _bead_rows(len(t.chain[-1]), n)
     displays = [display(p, n, rows=rows) for p in t.chain]
     runner_chains: list[list[Partition]] = []
     runner_labels: list[list[int]] = [[] for _ in range(n)]

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 from .borderstrips import mn_value
@@ -188,16 +188,15 @@ def lr_coefficient(kappa, factors) -> int:
     factors = tuple(Partition(f) for f in factors)
     if sum(f.size for f in factors) != kappa.size:
         raise ValueError("factor sizes must sum to |kappa|")
-    return _multiplicity(
-        irreducible_character(kappa),
-        tuple(irreducible_character(f) for f in factors),
-    )
+    thetas = tuple(irreducible_character(f) for f in factors)
+    return _multiplicity(irreducible_character(kappa), partial(_induced, thetas))
 
 
-def _multiplicity(chi: ClassFunction, thetas: tuple[ClassFunction, ...]) -> int:
-    # <chi, Ind(theta_0 x theta_1 x ...)>, an integer since chi is irreducible
+def _multiplicity(chi: ClassFunction, induced) -> int:
+    # <chi, psi> for a character psi with psi(a) = induced(a.parts), an
+    # integer since chi is irreducible
     total = sum(
-        Fraction(_induced(thetas, a.parts) * chi(a), centralizer_order(a))
+        Fraction(induced(a.parts) * chi(a), centralizer_order(a))
         for a in partitions_of(chi.degree)
     )
     assert total.denominator == 1, "induced character decomposition not integral"

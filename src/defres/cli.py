@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from .abacus import display, n_quotient
+from .abacus import n_quotient, paired_displays
 from .borderstrips import enumerate_m_bst, mn_value
 from .characters import irreducible_character
 from .deflation import (
@@ -127,8 +127,7 @@ def _cmd_tableaux(args) -> tuple[str, dict]:
 def _cmd_quotient(args) -> tuple[str, dict]:
     shape: SkewPartition = args.shape
     quotient = n_quotient(shape, args.n)
-    d_outer = display(shape.outer, args.n)
-    d_inner = display(shape.inner, args.n, rows=d_outer.bead_count // args.n)
+    d_outer, d_inner = paired_displays(shape, args.n)
     lines = [
         "outer display:",
         d_outer.render(),

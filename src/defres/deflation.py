@@ -16,22 +16,21 @@ Two independent evaluators are provided on top of the wreath oracle:
   sign times the multiplicity of chi^kappa in the character induced from
   the quotient components.
 
-That single-cycle step is written once, in ``_single_cycle``: one pass over
-the abacus (``abacus._quotient``) yields the quotient components and sign,
-and ``characters._multiplicity`` the multiplicity.  ``farahat_check``
-shares the quotient step, and ``ncycle_vanishing`` is the step itself on a
-straight shape.
+That single-cycle step is written once, in ``_single_cycle``, which reads
+the abacus once per candidate shape and takes the multiplicity from
+``characters._multiplicity``.  ``farahat_check`` shares the quotient step,
+and ``ncycle_vanishing`` is the step itself on a straight shape.
 
-``defres_sign``, ``defres_degree`` and ``ncycle_vanishing`` are the closed
-forms for the sign character, the degree, and evaluation at an n-cycle.
+``defres_sign`` and ``defres_degree`` are the closed forms for the sign
+character and the degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
-from .abacus import _quotient
+from .abacus import is_n_decomposable, n_quotient
 from .borderstrips import a_coefficient, mn_value
 from .characters import (
     ClassFunction,
@@ -90,13 +89,10 @@ def defres_theorem(query: DeflationQuery) -> int:
 
 
 def _quotient_characters(
-    outer: tuple[int, ...], inner: tuple[int, ...], c: int
-) -> tuple[int, tuple[ClassFunction, ...]] | None:
-    # the quotient sign and component skew characters of outer/inner, or
-    # None when the shape is not c-decomposable
-    quotient = _quotient(outer, inner, c)
-    if quotient is None:
-        return None
+    shape: SkewPartition, c: int
+) -> tuple[int, tuple[ClassFunction, ...]]:
+    # the quotient sign and component skew characters of a c-decomposable shape
+    quotient = n_quotient(shape, c)
     return quotient.sign, tuple(skew_character(comp) for comp in quotient.components)
 
 
@@ -106,11 +102,12 @@ def _single_cycle(
 ) -> int:
     # deflation of the skew character of outer/inner through chi^kappa,
     # evaluated at a single c-cycle
-    quotient = _quotient_characters(outer, inner, c)
-    if quotient is None:
+    shape = SkewPartition(outer, inner)
+    if not is_n_decomposable(shape, c):
         return 0
-    sign, thetas = quotient
-    return sign * _multiplicity(irreducible_character(Partition(kappa)), thetas)
+    sign, thetas = _quotient_characters(shape, c)
+    chi = irreducible_character(Partition(kappa))
+    return sign * _multiplicity(chi, partial(_induced, thetas))
 
 
 @cache
@@ -161,10 +158,9 @@ def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:
             f"|shape| = {shape.size} must equal n * |alpha| = {n * alpha.size}"
         )
     lhs = mn_value(shape, stretch(alpha, n))
-    quotient = _quotient_characters(shape.outer.parts, shape.inner.parts, n)
-    if quotient is None:
+    if not is_n_decomposable(shape, n):
         return lhs, 0
-    sign, thetas = quotient
+    sign, thetas = _quotient_characters(shape, n)
     return lhs, sign * _induced(thetas, alpha.parts)
 
 

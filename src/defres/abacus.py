@@ -131,7 +131,7 @@ def display(p, n: int, rows: int | None = None) -> AbacusDisplay:
     t = _bead_rows(len(p), n) if rows is None else rows
     if t * n < len(p) or t < 1:
         raise ValueError(f"{t} rows cannot hold {len(p)} parts on {n} runners")
-    return AbacusDisplay(n, _beta_set(p.parts, t * n))
+    return AbacusDisplay(n, _beta_set(p, t * n))
 
 
 def n_core(p, n: int) -> Partition:
@@ -220,13 +220,13 @@ def is_n_decomposable(shape: SkewPartition, n: int) -> bool:
     lambda-rows when both are sorted.
     """
     _check_runners(shape, n)
-    return _quotient(shape.outer.parts, shape.inner.parts, n) is not None
+    return _quotient(shape.outer, shape.inner, n) is not None
 
 
 def n_quotient(shape: SkewPartition, n: int) -> QuotientData:
     """Quotient components, relabelling, and sign of an n-decomposable shape."""
     _check_runners(shape, n)
-    quotient = _quotient(shape.outer.parts, shape.inner.parts, n)
+    quotient = _quotient(shape.outer, shape.inner, n)
     if quotient is None:
         raise ValueError(f"{shape} is not {n}-decomposable")
     return quotient
@@ -255,14 +255,14 @@ def unique_cycle_tableau(
         raise ValueError("m and n must be at least 1")
     if shape.size != m * n:
         raise ValueError(f"|{shape}| = {shape.size} must equal m * n = {m * n}")
-    quotient = _quotient(shape.outer.parts, shape.inner.parts, n)
+    quotient = _quotient(shape.outer, shape.inner, n)
     if quotient is None or any(
         not is_horizontal_strip(c) for c in quotient.components
     ):
         return None
     d_outer, d_inner = paired_displays(shape, n)
     current = set(d_outer.beads)
-    chain = [Partition(_partition_of_betas(current))]
+    chain = [_partition_of_betas(current)]
     for _ in range(m):
         pos = max(current - d_inner.beads)
         target = pos - n
@@ -270,7 +270,7 @@ def unique_cycle_tableau(
             raise RuntimeError("bead lift blocked; quotient invariant broken")
         current.remove(pos)
         current.add(target)
-        chain.append(Partition(_partition_of_betas(current)))
+        chain.append(_partition_of_betas(current))
     if current != set(d_inner.beads):
         raise RuntimeError("bead lifts did not reach the inner display")
     tableau = BorderStripTableau(reversed(chain))
@@ -289,7 +289,7 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
     """
     if n < 1:
         raise ValueError("need at least one runner")
-    type_ = t.type.parts
+    type_ = t.type
     if any(c % n != 0 for c in type_):
         raise ValueError(f"strip lengths {type_} are not all multiples of {n}")
     alpha = tuple(c // n for c in type_)
@@ -297,12 +297,10 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
         raise ValueError(f"type {type_} is not n times a partition")
     rows = _bead_rows(len(t.chain[-1]), n)
     displays = [display(p, n, rows=rows) for p in t.chain]
-    runner_chains: list[list[Partition]] = []
+    runner_chains: list[list[tuple[int, ...]]] = []
     runner_labels: list[list[int]] = [[] for _ in range(n)]
     for i in range(n):
-        runner_chains.append(
-            [Partition(_partition_of_betas(displays[0].runner_rows(i)))]
-        )
+        runner_chains.append([_partition_of_betas(displays[0].runner_rows(i))])
     for step, (before, after) in enumerate(zip(displays, displays[1:])):
         gone = before.beads - after.beads
         new = after.beads - before.beads
@@ -312,9 +310,7 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
         if src % n != dst % n:
             raise RuntimeError("bead migration crosses runners")
         i = src % n
-        runner_chains[i].append(
-            Partition(_partition_of_betas(after.runner_rows(i)))
-        )
+        runner_chains[i].append(_partition_of_betas(after.runner_rows(i)))
         runner_labels[i].append(t.labels[step])
     return [
         BorderStripTableau(runner_chains[i], runner_labels[i]) for i in range(n)

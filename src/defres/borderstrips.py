@@ -32,7 +32,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterator, NamedTuple
 
-from .partitions import Composition, Partition, SkewPartition, repeat_parts
+from .partitions import Composition, Partition, SkewPartition, _contains, repeat_parts
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +83,6 @@ def _strip_additions(mu: tuple[int, ...], c: int) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(out, reverse=True))
 
 
-def _tuple_contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
 def _diff_rows(nu: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
     # 0-indexed rows where nu strictly exceeds tau (tau padded with zeros)
     return tuple(
@@ -135,7 +129,7 @@ def strip_meta(shape: SkewPartition) -> StripMeta:
     """Length, height (occupied rows minus one) and topmost occupied row."""
     if not is_border_strip(shape):
         raise ValueError(f"{shape} is not a border strip")
-    rows = _diff_rows(shape.outer.parts, shape.inner.parts)
+    rows = _diff_rows(shape.outer, shape.inner)
     return StripMeta(shape.size, len(rows) - 1, rows[0] + 1)
 
 
@@ -225,7 +219,7 @@ class BorderStripTableau:
         return hash((self.chain, self.labels))
 
     def __repr__(self) -> str:
-        return f"BorderStripTableau({[p.parts for p in self.chain]!r})"
+        return f"BorderStripTableau({[tuple(p) for p in self.chain]!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +236,7 @@ def _mn(
     total = 0
     # grow the inner shape by one strip of the first remaining length
     for tau in _strip_additions(inner, c):
-        if _tuple_contains(outer, tau):
+        if _contains(outer, tau):
             rows = _diff_rows(tau, inner)
             total += (-1) ** (len(rows) - 1) * _mn(outer, tau, gamma[1:])
     return total
@@ -260,7 +254,7 @@ def mn_value(shape: SkewPartition, gamma) -> int:
         raise ValueError(
             f"type {gamma} must sum to |{shape}| = {shape.size}"
         )
-    return _mn(shape.outer.parts, shape.inner.parts, gamma.parts)
+    return _mn(shape.outer, shape.inner, gamma)
 
 
 def _m_type(shape: SkewPartition, m: int, gamma) -> tuple[int, ...]:
@@ -272,7 +266,7 @@ def _m_type(shape: SkewPartition, m: int, gamma) -> tuple[int, ...]:
         raise ValueError(
             f"m * |gamma| = {m * gamma.size} must equal |{shape}| = {shape.size}"
         )
-    return repeat_parts(gamma, m).parts
+    return repeat_parts(gamma, m)
 
 
 def _iter_m_chains(
@@ -291,7 +285,7 @@ def _iter_m_chains(
             yield (outer,)
         return
     for tau in _strip_removals(outer, type_[-1]):
-        if not _tuple_contains(tau, inner):
+        if not _contains(tau, inner):
             continue
         top_row = _diff_rows(outer, tau)[0] + 1
         if row_floor is not None and top_row < row_floor:
@@ -310,7 +304,7 @@ def enumerate_m_bst(shape: SkewPartition, m: int, gamma) -> list[BorderStripTabl
     """
     type_ = _m_type(shape, m, gamma)
     chains = sorted(
-        _iter_m_chains(shape.outer.parts, shape.inner.parts, type_, m, None)
+        _iter_m_chains(shape.outer, shape.inner, type_, m, None)
     )
     return [BorderStripTableau(chain) for chain in chains]
 
@@ -338,7 +332,7 @@ def _a_count(
         return 1 if outer == inner else 0
     total = 0
     for tau in _strip_removals(outer, type_[-1]):
-        if not _tuple_contains(tau, inner):
+        if not _contains(tau, inner):
             continue
         rows = _diff_rows(outer, tau)
         top_row = rows[0] + 1
@@ -357,4 +351,4 @@ def a_coefficient(shape: SkewPartition, m: int, gamma) -> int:
     invariant.
     """
     type_ = _m_type(shape, m, gamma)
-    return _a_count(shape.outer.parts, shape.inner.parts, type_, m, 0)
+    return _a_count(shape.outer, shape.inner, type_, m, 0)

@@ -40,8 +40,9 @@ from .partitions import (
 class ClassFunction:
     """An integer-valued class function on S_r, r = ``degree``.
 
-    ``values`` must provide one integer per partition of r.  Instances are
-    hashable and must not be mutated after construction.
+    ``values`` must provide one integer per partition of r, keyed by
+    partitions or by the equal plain tuples.  Instances are hashable and
+    must not be mutated after construction.
     """
 
     __slots__ = ("degree", "values", "_key")
@@ -50,22 +51,20 @@ class ClassFunction:
         if degree < 0:
             raise ValueError("degree must be non-negative")
         table = {Partition(a): int(v) for a, v in values.items()}
-        missing = [a for a in partitions_of(degree) if a not in table]
-        if missing or len(table) != len(partitions_of(degree)):
+        if table.keys() != set(partitions_of(degree)):
             raise ValueError(f"values must cover the classes of S_{degree} exactly")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "values", table)
-        object.__setattr__(
-            self,
-            "_key",
-            (degree, tuple(sorted((a.parts, v) for a, v in table.items()))),
-        )
+        object.__setattr__(self, "_key", (degree, tuple(sorted(table.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassFunction is immutable")
 
     def __call__(self, alpha) -> int:
-        alpha = Partition(alpha)
+        try:
+            return self.values[alpha]
+        except (KeyError, TypeError):  # not hashed as a class: normalize
+            alpha = Partition(alpha)
         try:
             return self.values[alpha]
         except KeyError:
@@ -116,10 +115,10 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
 
 
 @cache
-def _induced(thetas: tuple[ClassFunction, ...], alpha_parts: tuple[int, ...]) -> int:
+def _induced(thetas: tuple[ClassFunction, ...], alpha: tuple[int, ...]) -> int:
     rows = [th.degree for th in thetas]
     nrows = len(rows)
-    items = sorted(Counter(alpha_parts).items(), reverse=True)
+    items = sorted(Counter(alpha).items(), reverse=True)
     caps = rows[:]
     types: list[list[int]] = [[] for _ in range(nrows)]
     total = 0
@@ -131,7 +130,7 @@ def _induced(thetas: tuple[ClassFunction, ...], alpha_parts: tuple[int, ...]) ->
         for th, tp in zip(thetas, types):
             if v == 0:
                 break
-            v *= th(Partition(sorted(tp, reverse=True)))
+            v *= th(tuple(sorted(tp, reverse=True)))
         return v
 
     def place(idx: int, weight: int) -> None:
@@ -175,7 +174,7 @@ def induced_value(thetas, alpha) -> int:
         raise ValueError(
             f"factor degrees must sum to |alpha| = {alpha.size}"
         )
-    return _induced(thetas, alpha.parts)
+    return _induced(thetas, alpha)
 
 
 def lr_coefficient(kappa, factors) -> int:
@@ -193,10 +192,10 @@ def lr_coefficient(kappa, factors) -> int:
 
 
 def _multiplicity(chi: ClassFunction, induced) -> int:
-    # <chi, psi> for a character psi with psi(a) = induced(a.parts), an
-    # integer since chi is irreducible
+    # <chi, psi> for a character psi with psi(a) = induced(a), an integer
+    # since chi is irreducible
     total = sum(
-        Fraction(induced(a.parts) * chi(a), centralizer_order(a))
+        Fraction(induced(a) * chi(a), centralizer_order(a))
         for a in partitions_of(chi.degree)
     )
     assert total.denominator == 1, "induced character decomposition not integral"

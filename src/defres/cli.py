@@ -10,8 +10,9 @@ Shapes and types use the text grammar of :mod:`defres.partitions`.  With
 ``--format json`` each command prints a single JSON object with sorted
 keys, so parsing and re-rendering the output is byte-identical.
 
-Exit codes: 0 success, 1 precondition violation (and failed verification),
-2 unparsable arguments, 3 oracle budget exceeded.
+Exit codes: 0 success, 1 precondition violation (and failed verification,
+and a cycle type too long for the recursion limit), 2 unparsable
+arguments, 3 oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .wreath import DEFAULT_BUDGET, BudgetExceeded, oracle_defres
 
 def _resolve_theta(text: str, m: int) -> Partition:
     if text == "trivial":
-        return Partition((m,)) if m else Partition()
+        return Partition((m,))
     if text == "sign":
         return Partition((1,) * m)
     theta = Partition.parse(text)
@@ -63,7 +64,7 @@ def _cmd_defres(args) -> tuple[str, dict]:
     elif evaluator == "recursive":
         value = defres_recursive(query)
     else:
-        g = with_cycle_type(args.gamma.parts, n)
+        g = with_cycle_type(args.gamma, n)
         value = oracle_defres(
             shape,
             irreducible_character(theta),
@@ -76,11 +77,11 @@ def _cmd_defres(args) -> tuple[str, dict]:
     payload = {
         "command": "defres",
         "evaluator": evaluator,
-        "gamma": list(args.gamma.parts),
+        "gamma": list(args.gamma),
         "m": args.m,
         "n": n,
         "shape": str(shape),
-        "theta": list(theta.parts),
+        "theta": list(theta),
         "value": value,
     }
     return text, payload
@@ -90,7 +91,7 @@ def _cmd_mn(args) -> tuple[str, dict]:
     value = mn_value(args.shape, args.gamma)
     payload = {
         "command": "mn",
-        "gamma": list(args.gamma.parts),
+        "gamma": list(args.gamma),
         "shape": str(args.shape),
         "value": value,
     }
@@ -107,13 +108,13 @@ def _cmd_tableaux(args) -> tuple[str, dict]:
     payload = {
         "command": "tableaux",
         "count": len(tableaux),
-        "gamma": list(args.gamma.parts),
+        "gamma": list(args.gamma),
         "m": args.m,
         "shape": str(args.shape),
         "signed_count": total,
         "tableaux": [
             {
-                "chain": [list(p.parts) for p in t.chain],
+                "chain": [list(p) for p in t.chain],
                 "grid": t.render(),
                 "labels": list(t.labels),
                 "sign": t.sign,
@@ -156,7 +157,7 @@ def _cmd_farahat(args) -> tuple[str, dict]:
     text = f"lhs: {lhs}\nrhs: {rhs}\nagree: {str(agree).lower()}"
     payload = {
         "agree": agree,
-        "alpha": list(args.alpha.parts),
+        "alpha": list(args.alpha),
         "command": "farahat",
         "lhs": lhs,
         "n": args.n,
@@ -167,14 +168,14 @@ def _cmd_farahat(args) -> tuple[str, dict]:
 
 
 def _verify_instance(shape, m, n, mode, theta, gamma) -> tuple[int, int]:
-    query = DeflationQuery(shape, m, n, theta, Composition(gamma.parts))
+    query = DeflationQuery(shape, m, n, theta, Composition(gamma))
     if mode == "trivial":
         claimed = defres_theorem(query)
     elif mode == "sign":
         claimed = defres_sign(query)
     else:
         claimed = defres_recursive(query)
-    g = with_cycle_type(gamma.parts, n)
+    g = with_cycle_type(gamma, n)
     expected = oracle_defres(shape, irreducible_character(theta), n, g)
     return claimed, expected
 
@@ -324,6 +325,13 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # the strip recursions go one level deeper per part of the cycle type
+        print(
+            "error: cycle type has too many parts for the recursion limit",
+            file=sys.stderr,
+        )
+        return 1
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

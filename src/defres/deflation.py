@@ -106,7 +106,7 @@ def _single_cycle(
     if not is_n_decomposable(shape, c):
         return 0
     sign, thetas = _quotient_characters(shape, c)
-    chi = irreducible_character(Partition(kappa))
+    chi = irreducible_character(kappa)
     return sign * _multiplicity(chi, partial(_induced, thetas))
 
 
@@ -124,21 +124,16 @@ def _recursive(
     shape = SkewPartition(outer, inner)
     total = 0
     for tau in intermediates(shape, m * c):
-        base = _single_cycle(tau.parts, inner, c, kappa)
+        base = _single_cycle(tau, inner, c, kappa)
         if base:
-            total += base * _recursive(outer, tau.parts, m, kappa, gamma[1:])
+            total += base * _recursive(outer, tau, m, kappa, gamma[1:])
     return total
 
 
 def defres_recursive(query: DeflationQuery) -> int:
     """Deflation through any irreducible chi^theta, one cycle at a time."""
-    return _recursive(
-        query.shape.outer.parts,
-        query.shape.inner.parts,
-        query.m,
-        query.theta.parts,
-        query.gamma.parts,
-    )
+    shape = query.shape
+    return _recursive(shape.outer, shape.inner, query.m, query.theta, query.gamma)
 
 
 def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:
@@ -161,7 +156,7 @@ def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:
     if not is_n_decomposable(shape, n):
         return lhs, 0
     sign, thetas = _quotient_characters(shape, n)
-    return lhs, sign * _induced(thetas, alpha.parts)
+    return lhs, sign * _induced(thetas, alpha)
 
 
 def defres_sign(query: DeflationQuery) -> int:
@@ -206,4 +201,4 @@ def ncycle_vanishing(lam, kappa, n: int) -> int:
     kappa = Partition(kappa)
     if n < 1 or lam.size != kappa.size * n:
         raise ValueError("need n >= 1 and |lam| = |kappa| * n")
-    return _single_cycle(lam.parts, (), n, kappa.parts)
+    return _single_cycle(lam, (), n, kappa)

@@ -1,7 +1,9 @@
 """Partitions, skew shapes, compositions, and their elementary arithmetic.
 
 Everything downstream (border strips, the abacus, characters, the deflation
-evaluators) works with the immutable shape types defined here.  All
+evaluators) works with the immutable shape types defined here.  A
+``Partition`` or ``Composition`` is a tuple of its parts, so the memoized
+recursions key on them directly and accept plain tuples alike.  All
 arithmetic is exact; values are Python integers throughout.
 
 Text grammar, shared with the CLI: parts are comma separated ("6,5,3,2"),
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from operator import le
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -37,78 +40,74 @@ def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
-class Partition:
-    """A weakly decreasing tuple of positive integers.
+def _contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
+    # the diagram of inner sits inside that of outer; both without zero parts
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
-    Trailing zeros are stripped on construction, so every partition has a
-    unique representation; the empty partition is ``Partition()``.
-    Instances are immutable and hashable.
-    """
 
-    __slots__ = ("parts",)
+class _Parts(tuple):
+    # what partitions and compositions share: each is the tuple of its parts
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        if isinstance(parts, Partition):
-            t = parts.parts
-        else:
-            t = _normalize(parts)
-            if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
-                raise ValueError(f"parts must be weakly decreasing: {t}")
-            if t and t[-1] < 0:
-                raise ValueError(f"parts must be non-negative: {t}")
-        object.__setattr__(self, "parts", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     @property
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
-    def __len__(self) -> int:
-        return len(self.parts)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
+    def __str__(self) -> str:
+        return ",".join(str(p) for p in self) if self else "-"
 
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
+
+class Partition(_Parts):
+    """A weakly decreasing tuple of positive integers.
+
+    A partition is the tuple of its parts: ``Partition((2, 1)) == (2, 1)``
+    with equal hashes, so a plain tuple of parts serves wherever a partition
+    is compared, hashed or looked up.  Trailing zeros are stripped on
+    construction, so every partition has a unique representation; the empty
+    partition is ``Partition()``.  Constructing from a partition returns it.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()):
+        if isinstance(parts, cls):
+            return parts
+        t = _normalize(parts)
+        if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
+            raise ValueError(f"parts must be weakly decreasing: {t}")
+        if t and t[-1] < 0:
+            raise ValueError(f"parts must be non-negative: {t}")
+        return super().__new__(cls, t)
 
     def part(self, i: int) -> int:
         """The i-th part (1-indexed); 0 beyond the last row."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def contains(self, other: "Partition") -> bool:
-        other = Partition(other)
-        return all(o <= self.part(i + 1) for i, o in enumerate(other.parts))
+        return _contains(self, Partition(other))
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: column lengths become row lengths."""
-        if not self.parts:
+        if not self:
             return Partition()
-        cols = self.parts[0]
+        cols = self[0]
         return Partition(
-            sum(1 for p in self.parts if p >= c) for c in range(1, cols + 1)
+            sum(1 for p in self if p >= c) for c in range(1, cols + 1)
         )
 
     def boxes(self) -> Iterator[Box]:
-        for r, p in enumerate(self.parts, start=1):
+        for r, p in enumerate(self, start=1):
             for c in range(1, p + 1):
                 yield Box(r, c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(("Partition", self.parts))
-
-    def __repr__(self) -> str:
-        return f"Partition({self.parts!r})"
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
@@ -135,7 +134,7 @@ class SkewPartition:
     def __init__(self, outer, inner=()):
         outer = Partition(outer)
         inner = Partition(inner)
-        if not outer.contains(inner):
+        if not _contains(outer, inner):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
         object.__setattr__(self, "outer", outer)
         object.__setattr__(self, "inner", inner)
@@ -160,10 +159,10 @@ class SkewPartition:
         )
 
     def __hash__(self) -> int:
-        return hash(("SkewPartition", self.outer.parts, self.inner.parts))
+        return hash(("SkewPartition", self.outer, self.inner))
 
     def __repr__(self) -> str:
-        return f"SkewPartition({self.outer.parts!r}, {self.inner.parts!r})"
+        return f"SkewPartition({tuple(self.outer)!r}, {tuple(self.inner)!r})"
 
     def __str__(self) -> str:
         return f"{self.outer}/{self.inner}"
@@ -177,49 +176,23 @@ class SkewPartition:
         return cls(Partition.parse(text), Partition())
 
 
-class Composition:
-    """A finite sequence of positive integers; the order is significant."""
+class Composition(_Parts):
+    """A finite sequence of positive integers; the order is significant.
 
-    __slots__ = ("parts",)
+    Like a partition, a composition is the tuple of its parts:
+    ``Composition((2, 1)) == Partition((2, 1)) == (2, 1)`` with equal
+    hashes.  Constructing from a composition returns it.
+    """
 
-    parts: tuple[int, ...]
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
-        if isinstance(parts, Composition):
-            t = parts.parts
-        else:
-            t = tuple(int(x) for x in parts)
-            if any(p <= 0 for p in t):
-                raise ValueError(f"composition parts must be positive: {t}")
-        object.__setattr__(self, "parts", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Composition is immutable")
-
-    @property
-    def size(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
-
-    def __getitem__(self, i: int) -> int:
-        return self.parts[i]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Composition) and self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash(("Composition", self.parts))
-
-    def __repr__(self) -> str:
-        return f"Composition({self.parts!r})"
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
+    def __new__(cls, parts: Iterable[int] = ()):
+        if isinstance(parts, cls):
+            return parts
+        t = tuple(int(x) for x in parts)
+        if any(p <= 0 for p in t):
+            raise ValueError(f"composition parts must be positive: {t}")
+        return super().__new__(cls, t)
 
     @classmethod
     def parse(cls, text: str) -> "Composition":
@@ -235,7 +208,7 @@ class Composition:
 
 def contains(outer, inner) -> bool:
     """True when the diagram of inner sits inside the diagram of outer."""
-    return Partition(outer).contains(Partition(inner))
+    return _contains(Partition(outer), Partition(inner))
 
 
 def conjugate(p) -> Partition:
@@ -243,13 +216,13 @@ def conjugate(p) -> Partition:
 
 
 @cache
-def _partition_tuples(r: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+def _partition_tuples(r: int, max_part: int) -> tuple[Partition, ...]:
     if r == 0:
-        return ((),)
+        return (Partition(),)
     out = []
     for first in range(min(r, max_part), 0, -1):
         for rest in _partition_tuples(r - first, first):
-            out.append((first,) + rest)
+            out.append(Partition((first,) + rest))
     return tuple(out)
 
 
@@ -257,7 +230,7 @@ def partitions_of(r: int) -> list[Partition]:
     """All partitions of r, in reverse-lexicographic order."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    return [Partition(t) for t in _partition_tuples(r, r if r else 1)]
+    return list(_partition_tuples(r, r if r else 1))
 
 
 def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
@@ -268,7 +241,7 @@ def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
     """
     if c < 0 or c > shape.size:
         return []
-    outer = shape.outer.parts
+    outer = shape.outer
     rows = len(outer)
     inner = tuple(shape.inner.part(i + 1) for i in range(rows))
     target = shape.inner.size + c
@@ -319,7 +292,7 @@ def centralizer_order(alpha) -> int:
     """
     alpha = Partition(alpha)
     mult: dict[int, int] = {}
-    for p in alpha.parts:
+    for p in alpha:
         mult[p] = mult.get(p, 0) + 1
     out = 1
     for i, m in mult.items():

@@ -27,7 +27,7 @@ from itertools import product
 from math import factorial
 
 from .borderstrips import mn_value
-from .partitions import Composition, Partition, SkewPartition, centralizer_order, partitions_of
+from .partitions import Partition, SkewPartition, centralizer_order, partitions_of
 from .perms import all_permutations, compose, cycle_type_of, cycles, identity
 
 DEFAULT_BUDGET = 10**7
@@ -134,7 +134,7 @@ def oracle_defres(
         parts = []
         for beta, s in zip(assignment, lengths):
             parts.extend(s * p for p in beta)
-        total += weight * mn_value(shape, Composition(sorted(parts, reverse=True)))
+        total += weight * mn_value(shape, sorted(parts, reverse=True))
     assert total.denominator == 1, "oracle average is not integral"
     return int(total)
 

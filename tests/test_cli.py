@@ -299,6 +299,27 @@ class TestVerify:
         assert err.count("\n") == 1
 
 
+ONES = ",".join(["1"] * 1200)
+
+
+class TestDeepGamma:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mn", "--shape", "1200", "--gamma", ONES],
+            ["tableaux", "--shape", "1200", "--gamma", ONES],
+            ["defres", "--shape", "1200", "--m", "1", "--gamma", ONES],
+        ],
+        ids=["mn", "tableaux", "defres"],
+    )
+    def test_recursion_limit_exits_1(self, capsys, argv):
+        # the strip recursions go one level deeper per part of gamma
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == "error: cycle type has too many parts for the recursion limit\n"
+
+
 class TestEntryPoints:
     def test_module_execution(self):
         proc = subprocess.run(

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from math import factorial
 
 import pytest
@@ -14,11 +16,14 @@ from defres import (
     conjugate,
     contains,
     intermediates,
+    mn_value,
     partitions_of,
     repeat_parts,
     skew_shapes,
     stretch,
 )
+
+from defres.borderstrips import _mn
 
 from conftest import partitions
 
@@ -61,6 +66,49 @@ class TestPartition:
 
     def test_hashable(self):
         assert len({Partition((2, 1)), Partition((2, 1)), Partition((3,))}) == 2
+
+
+class TestTupleSemantics:
+    def test_equal_and_hashed_like_the_plain_tuple(self):
+        p = Partition((2, 1))
+        assert p == (2, 1)
+        assert hash(p) == hash((2, 1))
+        assert Partition((2, 1)) == Composition((2, 1)) == (2, 1)
+        assert hash(Composition((1, 2))) == hash((1, 2))
+
+    def test_construction_from_an_instance_returns_it(self):
+        p = Partition((3, 1))
+        assert Partition(p) is p
+        gamma = Composition((1, 3))
+        assert Composition(gamma) is gamma
+
+    def test_immutable(self):
+        p = Partition((3, 1))
+        with pytest.raises(AttributeError):
+            p.parts = (4,)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        for x in (
+            Partition((3, 1, 1)),
+            Partition(),
+            Composition((1, 3, 2)),
+            Composition(),
+        ):
+            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+                assert y == x
+                assert type(y) is type(x)
+                assert repr(y) == repr(x)
+
+    def test_partition_and_tuple_share_a_memo_entry(self):
+        shape = SkewPartition((3, 2), (1,))
+        _mn.cache_clear()
+        value = mn_value(shape, Partition((2, 2)))
+        before = _mn.cache_info()
+        assert mn_value(shape, (2, 2)) == value
+        after = _mn.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 class TestSkewPartition:

@@ -21,33 +21,38 @@ mu-beads they migrate to; its parity is the sign that relates signed strip
 counts on lambda/mu to signed strip counts on the quotient.
 
 Decomposability, the quotient components, the relabelling and the sign all
-come from one pass over the paired displays, ``_quotient``, which keeps its
-last result, so ``is_n_decomposable`` followed by ``n_quotient`` reads a
-shape's abacus once; ``paired_displays`` draws the displays themselves.
+come from one pass over the paired displays, ``_quotient``, keyed on the
+skew shape and n; it keeps its last result, so ``is_n_decomposable``
+followed by ``n_quotient`` reads a shape's abacus once.
+``paired_displays`` draws the displays themselves; like the shapes, an
+``AbacusDisplay`` is a tuple, the pair ``(runners, beads)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .borderstrips import BorderStripTableau, _beta_set, _partition_of_betas
 from .partitions import Partition, SkewPartition
 from .perms import parity
 
 
-class AbacusDisplay:
+class AbacusDisplay(tuple):
     """An abacus with ``runners`` runners and beads at distinct positions.
 
-    The number of beads is always a multiple of the number of runners.
+    The display is the pair ``(runners, beads)``, ``beads`` a frozenset of
+    positions; the number of beads is always a multiple of the number of
+    runners.
     """
 
-    __slots__ = ("runners", "beads")
+    __slots__ = ()
 
-    runners: int
-    beads: frozenset[int]
+    runners = property(itemgetter(0), doc="The number of runners.")
+    beads = property(itemgetter(1), doc="The bead positions, a frozenset.")
 
-    def __init__(self, runners: int, beads):
+    def __new__(cls, runners: int, beads):
         beads = frozenset(int(b) for b in beads)
         if runners < 1:
             raise ValueError("need at least one runner")
@@ -55,11 +60,10 @@ class AbacusDisplay:
             raise ValueError("bead positions must be non-negative")
         if len(beads) % runners != 0:
             raise ValueError("bead count must be a multiple of the runner count")
-        object.__setattr__(self, "runners", runners)
-        object.__setattr__(self, "beads", beads)
+        return super().__new__(cls, (runners, beads))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("AbacusDisplay is immutable")
+    def __getnewargs__(self) -> tuple[int, frozenset[int]]:
+        return tuple(self)
 
     @property
     def bead_count(self) -> int:
@@ -98,16 +102,6 @@ class AbacusDisplay:
                 cells.append(cell.ljust(width))
             lines.append(" ".join(cells).rstrip())
         return "\n".join(lines)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AbacusDisplay)
-            and self.runners == other.runners
-            and self.beads == other.beads
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.runners, self.beads))
 
     def __repr__(self) -> str:
         return f"AbacusDisplay({self.runners}, {sorted(self.beads)!r})"
@@ -172,14 +166,13 @@ def paired_displays(
 
 
 @lru_cache(maxsize=1)
-def _quotient(
-    outer: tuple[int, ...], inner: tuple[int, ...], n: int
-) -> QuotientData | None:
+def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
     # The one pass over the paired displays (equal bead counts, sized from
     # the outer shape) behind every quotient here.  None unless each runner
     # carries equally many outer and inner beads, the inner rows dominated
     # by the outer rows; beads are matched runner by runner, in order.
     # One entry: callers ask is_n_decomposable, then n_quotient, of a shape.
+    outer, inner = shape
     nbeads = n * _bead_rows(len(outer), n)
     runners = []
     for parts in (outer, inner):
@@ -220,13 +213,13 @@ def is_n_decomposable(shape: SkewPartition, n: int) -> bool:
     lambda-rows when both are sorted.
     """
     _check_runners(shape, n)
-    return _quotient(shape.outer, shape.inner, n) is not None
+    return _quotient(shape, n) is not None
 
 
 def n_quotient(shape: SkewPartition, n: int) -> QuotientData:
     """Quotient components, relabelling, and sign of an n-decomposable shape."""
     _check_runners(shape, n)
-    quotient = _quotient(shape.outer, shape.inner, n)
+    quotient = _quotient(shape, n)
     if quotient is None:
         raise ValueError(f"{shape} is not {n}-decomposable")
     return quotient
@@ -255,7 +248,7 @@ def unique_cycle_tableau(
         raise ValueError("m and n must be at least 1")
     if shape.size != m * n:
         raise ValueError(f"|{shape}| = {shape.size} must equal m * n = {m * n}")
-    quotient = _quotient(shape.outer, shape.inner, n)
+    quotient = _quotient(shape, n)
     if quotient is None or any(
         not is_horizontal_strip(c) for c in quotient.components
     ):

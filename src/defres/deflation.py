@@ -10,16 +10,20 @@ Two independent evaluators are provided on top of the wreath oracle:
 * ``defres_theorem`` handles trivial theta via the signed count of
   m-border-strip tableaux of type gamma;
 * ``defres_recursive`` handles an arbitrary irreducible theta = chi^kappa
-  by peeling one cycle of gamma at a time.  A single cycle of length c
-  deflates through the c-quotient: the value is 0 unless the skew shape cut
-  off for that cycle is c-decomposable, and otherwise it is the quotient
+  by peeling one cycle of gamma at a time: the skew character restricts
+  to S_(m*c) x S_(m*(n-c)) along ``characters.skew_restriction``, the
+  lower half deflates at a single c-cycle and the upper half recurses.  A
+  single cycle of length c deflates through the c-quotient: the value is 0
+  unless the lower half is c-decomposable, and otherwise it is the quotient
   sign times the multiplicity of chi^kappa in the character induced from
   the quotient components.
 
 That single-cycle step is written once, in ``_single_cycle``, which reads
 the abacus once per candidate shape and takes the multiplicity from
-``characters._multiplicity``.  ``farahat_check`` shares the quotient step,
-and ``ncycle_vanishing`` is the step itself on a straight shape.
+``characters._multiplicity``; it and ``_recursive`` key their memos on
+the skew shapes as the restriction hands them over.  ``farahat_check``
+shares the quotient step, and ``ncycle_vanishing`` is the step itself on a
+straight shape.
 
 ``defres_sign`` and ``defres_degree`` are the closed forms for the sign
 character and the degree.
@@ -39,14 +43,9 @@ from .characters import (
     irreducible_character,
     lr_coefficient,
     skew_character,
+    skew_restriction,
 )
-from .partitions import (
-    Composition,
-    Partition,
-    SkewPartition,
-    intermediates,
-    stretch,
-)
+from .partitions import Composition, Partition, SkewPartition, stretch
 
 
 @dataclass(frozen=True)
@@ -97,12 +96,9 @@ def _quotient_characters(
 
 
 @cache
-def _single_cycle(
-    outer: tuple[int, ...], inner: tuple[int, ...], c: int, kappa: tuple[int, ...]
-) -> int:
-    # deflation of the skew character of outer/inner through chi^kappa,
+def _single_cycle(shape: SkewPartition, c: int, kappa: tuple[int, ...]) -> int:
+    # deflation of the skew character of shape through chi^kappa,
     # evaluated at a single c-cycle
-    shape = SkewPartition(outer, inner)
     if not is_n_decomposable(shape, c):
         return 0
     sign, thetas = _quotient_characters(shape, c)
@@ -112,28 +108,22 @@ def _single_cycle(
 
 @cache
 def _recursive(
-    outer: tuple[int, ...],
-    inner: tuple[int, ...],
-    m: int,
-    kappa: tuple[int, ...],
-    gamma: tuple[int, ...],
+    shape: SkewPartition, m: int, kappa: tuple[int, ...], gamma: tuple[int, ...]
 ) -> int:
     if not gamma:
-        return 1 if outer == inner else 0
+        return 1 if shape.outer == shape.inner else 0
     c = gamma[0]
-    shape = SkewPartition(outer, inner)
     total = 0
-    for tau in intermediates(shape, m * c):
-        base = _single_cycle(tau, inner, c, kappa)
+    for lower, upper in skew_restriction(shape, m * c):
+        base = _single_cycle(lower, c, kappa)
         if base:
-            total += base * _recursive(outer, tau, m, kappa, gamma[1:])
+            total += base * _recursive(upper, m, kappa, gamma[1:])
     return total
 
 
 def defres_recursive(query: DeflationQuery) -> int:
     """Deflation through any irreducible chi^theta, one cycle at a time."""
-    shape = query.shape
-    return _recursive(shape.outer, shape.inner, query.m, query.theta, query.gamma)
+    return _recursive(query.shape, query.m, query.theta, query.gamma)
 
 
 def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:
@@ -201,4 +191,4 @@ def ncycle_vanishing(lam, kappa, n: int) -> int:
     kappa = Partition(kappa)
     if n < 1 or lam.size != kappa.size * n:
         raise ValueError("need n >= 1 and |lam| = |kappa| * n")
-    return _single_cycle(lam, (), n, kappa)
+    return _single_cycle(SkewPartition(lam), n, kappa)

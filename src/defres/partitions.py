@@ -1,10 +1,14 @@
 """Partitions, skew shapes, compositions, and their elementary arithmetic.
 
 Everything downstream (border strips, the abacus, characters, the deflation
-evaluators) works with the immutable shape types defined here.  A
-``Partition`` or ``Composition`` is a tuple of its parts, so the memoized
-recursions key on them directly and accept plain tuples alike.  All
-arithmetic is exact; values are Python integers throughout.
+evaluators) works with the immutable shape types defined here, and every
+one of them is a tuple that equals and hashes like its plain form.  A
+``Composition`` is the tuple of its parts, and a ``Partition`` is a
+composition whose parts weakly decrease; a ``SkewPartition`` is the pair
+``(outer, inner)`` of partitions.  The memoized recursions key on shapes
+as they are and accept the plain tuples alike; copies and pickles
+round-trip.  All arithmetic is exact; values are Python integers
+throughout.
 
 Text grammar, shared with the CLI: parts are comma separated ("6,5,3,2"),
 the empty partition is written "-", and a skew shape is "outer/inner"
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
-from operator import le
+from operator import itemgetter, le
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -45,10 +49,23 @@ def _contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
-class _Parts(tuple):
-    # what partitions and compositions share: each is the tuple of its parts
+class Composition(tuple):
+    """A finite sequence of positive integers; the order is significant.
+
+    A composition is the tuple of its parts: ``Composition((2, 1)) == (2, 1)``
+    with equal hashes.  A partition is a composition, so constructing a
+    composition from a partition, or from a composition, returns it.
+    """
 
     __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int] = ()):
+        if isinstance(parts, cls):
+            return parts
+        t = tuple(int(x) for x in parts)
+        if any(p <= 0 for p in t):
+            raise ValueError(f"composition parts must be positive: {t}")
+        return super().__new__(cls, t)
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -65,8 +82,23 @@ class _Parts(tuple):
     def __str__(self) -> str:
         return ",".join(str(p) for p in self) if self else "-"
 
+    @classmethod
+    def parse(cls, text: str):
+        """Comma separated parts; "-" is the empty one."""
+        name = cls.__name__.lower()
+        text = text.strip()
+        if text == "-":
+            return cls()
+        if not text:
+            raise ValueError(f"empty {name} text; write '-' for the empty {name}")
+        try:
+            parts = [int(x) for x in text.split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse {name} {text!r}") from None
+        return cls(parts)
 
-class Partition(_Parts):
+
+class Partition(Composition):
     """A weakly decreasing tuple of positive integers.
 
     A partition is the tuple of its parts: ``Partition((2, 1)) == (2, 1)``
@@ -86,7 +118,7 @@ class Partition(_Parts):
             raise ValueError(f"parts must be weakly decreasing: {t}")
         if t and t[-1] < 0:
             raise ValueError(f"parts must be non-negative: {t}")
-        return super().__new__(cls, t)
+        return tuple.__new__(cls, t)
 
     def part(self, i: int) -> int:
         """The i-th part (1-indexed); 0 beyond the last row."""
@@ -109,38 +141,30 @@ class Partition(_Parts):
             for c in range(1, p + 1):
                 yield Box(r, c)
 
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        text = text.strip()
-        if text == "-":
-            return cls()
-        if not text:
-            raise ValueError("empty partition text; write '-' for the empty partition")
-        try:
-            parts = [int(x) for x in text.split(",")]
-        except ValueError:
-            raise ValueError(f"cannot parse partition {text!r}") from None
-        return cls(parts)
 
+class SkewPartition(tuple):
+    """A pair of nested partitions outer/inner; the shape is their difference.
 
-class SkewPartition:
-    """A pair of nested partitions outer/inner; the shape is their difference."""
+    A skew shape is the pair ``(outer, inner)``:
+    ``SkewPartition((3, 2), (1,)) == ((3, 2), (1,))`` with equal hashes, so
+    the memoized recursions key on skew shapes as they are.
+    """
 
-    __slots__ = ("outer", "inner")
+    __slots__ = ()
 
-    outer: Partition
-    inner: Partition
+    outer = property(itemgetter(0), doc="The outer partition.")
+    inner = property(itemgetter(1), doc="The inner partition.")
 
-    def __init__(self, outer, inner=()):
+    def __new__(cls, outer, inner=()):
         outer = Partition(outer)
         inner = Partition(inner)
         if not _contains(outer, inner):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
-        object.__setattr__(self, "outer", outer)
-        object.__setattr__(self, "inner", inner)
+        return super().__new__(cls, (outer, inner))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SkewPartition is immutable")
+    def __getnewargs__(self) -> tuple[Partition, Partition]:
+        # copy and pickle call cls(outer, inner), not cls((outer, inner))
+        return tuple(self)
 
     @property
     def size(self) -> int:
@@ -150,16 +174,6 @@ class SkewPartition:
         for r in range(1, len(self.outer) + 1):
             for c in range(self.inner.part(r) + 1, self.outer.part(r) + 1):
                 yield Box(r, c)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SkewPartition)
-            and self.outer == other.outer
-            and self.inner == other.inner
-        )
-
-    def __hash__(self) -> int:
-        return hash(("SkewPartition", self.outer, self.inner))
 
     def __repr__(self) -> str:
         return f"SkewPartition({tuple(self.outer)!r}, {tuple(self.inner)!r})"
@@ -174,36 +188,6 @@ class SkewPartition:
             outer_text, inner_text = text.split("/", 1)
             return cls(Partition.parse(outer_text), Partition.parse(inner_text))
         return cls(Partition.parse(text), Partition())
-
-
-class Composition(_Parts):
-    """A finite sequence of positive integers; the order is significant.
-
-    Like a partition, a composition is the tuple of its parts:
-    ``Composition((2, 1)) == Partition((2, 1)) == (2, 1)`` with equal
-    hashes.  Constructing from a composition returns it.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, parts: Iterable[int] = ()):
-        if isinstance(parts, cls):
-            return parts
-        t = tuple(int(x) for x in parts)
-        if any(p <= 0 for p in t):
-            raise ValueError(f"composition parts must be positive: {t}")
-        return super().__new__(cls, t)
-
-    @classmethod
-    def parse(cls, text: str) -> "Composition":
-        text = text.strip()
-        if text == "-":
-            return cls()
-        try:
-            parts = [int(x) for x in text.split(",")]
-        except ValueError:
-            raise ValueError(f"cannot parse composition {text!r}") from None
-        return cls(parts)
 
 
 def contains(outer, inner) -> bool:

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import defres
 from defres.cli import main
 
 BIG = "8,5,3,2,2,2/2,2,1,1,1"
@@ -320,13 +327,89 @@ class TestDeepGamma:
         assert err == "error: cycle type has too many parts for the recursion limit\n"
 
 
+# argv fuzzing: small or garbled tokens for every command and option
+
+
+def mostly(good, bad):
+    # bad about one time in four, so that most argvs get past the parser
+    return st.sampled_from((good, good, good, bad)).flatmap(lambda s: s)
+
+
+LISTS = st.lists(st.integers(min_value=-1, max_value=6), max_size=4)
+PARTS = mostly(LISTS.map(lambda parts: sorted(parts, reverse=True)), LISTS).map(
+    lambda parts: ",".join(map(str, parts)) or "-"
+)
+GARBLED = st.sampled_from(["", " ", "-", ",", "x", "1,,2", "2,x", "/", "-/-", "1/2"])
+TYPES = mostly(PARTS, GARBLED)
+SHAPES = mostly(TYPES, st.tuples(PARTS, PARTS).map("/".join))
+INTS = mostly(
+    st.integers(min_value=-1, max_value=6).map(str),
+    st.sampled_from(["", "x", "1.5", "--"]),
+)
+THETAS = mostly(TYPES, st.sampled_from(["trivial", "sign"]))
+OPTIONS = {
+    "defres": {
+        "--shape": SHAPES,
+        "--m": INTS,
+        "--gamma": TYPES,
+        "--theta": THETAS,
+        "--evaluator": st.sampled_from(
+            ["auto", "tableau", "recursive", "oracle", "oracle-naive", "bogus"]
+        ),
+    },
+    "mn": {"--shape": SHAPES, "--gamma": TYPES},
+    "tableaux": {"--shape": SHAPES, "--gamma": TYPES, "--m": INTS},
+    "quotient": {"--shape": SHAPES, "--n": INTS},
+    "farahat": {"--shape": SHAPES, "--n": INTS, "--alpha": TYPES},
+    "verify": {"--inner-max": INTS, "--theta": THETAS},
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(OPTIONS) + ["bogus"]))
+    argv = [command]
+    for flag, values in OPTIONS.get(command, {}).items():
+        if draw(st.sampled_from((True,) * 7 + (False,))):  # at times omitted
+            argv += [flag, draw(values)]
+    # the defaults of these two allow seconds to minutes of work
+    if command == "defres":
+        argv += ["--budget", draw(INTS)]
+    if command == "verify":
+        argv += ["--max-size", draw(INTS)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "xml"]))]
+    return argv
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(argvs())
+    def test_exit_code_and_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+        err = err.getvalue()
+        assert code in {0, 1, 2, 3}
+        assert "Traceback" not in out.getvalue() + err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == (1 if code else 0), (argv, err)
+
+
 class TestEntryPoints:
     def test_module_execution(self):
+        # the child imports the package under test, installed or not
+        src = str(Path(defres.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "defres.cli", "mn", "--shape", "2,1",
              "--gamma", "3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout == "-1\n"

@@ -10,13 +10,16 @@ import hypothesis.strategies as st
 from defres import (
     Box,
     Composition,
+    DeflationQuery,
     Partition,
     SkewPartition,
     centralizer_order,
     conjugate,
     contains,
+    display,
     intermediates,
     mn_value,
+    n_quotient,
     partitions_of,
     repeat_parts,
     skew_shapes,
@@ -75,12 +78,18 @@ class TestTupleSemantics:
         assert hash(p) == hash((2, 1))
         assert Partition((2, 1)) == Composition((2, 1)) == (2, 1)
         assert hash(Composition((1, 2))) == hash((1, 2))
+        shape = SkewPartition((3, 2), (1,))
+        assert shape == ((3, 2), (1,))
+        assert hash(shape) == hash(((3, 2), (1,)))
+        assert shape != SkewPartition((3, 2))
 
     def test_construction_from_an_instance_returns_it(self):
         p = Partition((3, 1))
         assert Partition(p) is p
         gamma = Composition((1, 3))
         assert Composition(gamma) is gamma
+        # a partition is a composition
+        assert Composition(p) is p
 
     def test_immutable(self):
         p = Partition((3, 1))
@@ -88,15 +97,29 @@ class TestTupleSemantics:
             p.parts = (4,)
         with pytest.raises(AttributeError):
             p.extra = 1
+        with pytest.raises(AttributeError):
+            SkewPartition((3, 1)).outer = Partition((4,))
+        with pytest.raises(AttributeError):
+            display((3, 1), 2).beads = frozenset()
 
     def test_pickle_and_deepcopy_round_trip(self):
+        shape = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
         for x in (
             Partition((3, 1, 1)),
             Partition(),
             Composition((1, 3, 2)),
             Composition(),
+            shape,
+            SkewPartition(()),
+            display((4, 2, 1), 3),
+            n_quotient(shape, 3),
+            DeflationQuery(shape, 3, 5, Partition((2, 1)), Composition((3, 2))),
         ):
-            for y in (pickle.loads(pickle.dumps(x)), copy.deepcopy(x)):
+            for y in (
+                pickle.loads(pickle.dumps(x)),
+                copy.deepcopy(x),
+                copy.copy(x),
+            ):
                 assert y == x
                 assert type(y) is type(x)
                 assert repr(y) == repr(x)

@@ -7,7 +7,9 @@ A border-strip tableau of shape lambda/mu and type gamma is a chain
 
 where each step li/l(i-1) is a border strip of gamma_i boxes; the boxes of
 that strip carry the label i.  Removing or adding a strip is a single bead
-move on a beta-set, which is how this module manipulates shapes.
+move on a beta-set, which is how this module manipulates shapes and
+recognises strips.  A tableau is the tuple ``(chain, labels)``, its sign,
+type and strip metadata read off the chain.
 
 Three derived quantities matter:
 
@@ -30,6 +32,7 @@ independent routes to the same numbers, which the tests exploit.
 from __future__ import annotations
 
 from functools import cache
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .partitions import Composition, Partition, SkewPartition, _contains, repeat_parts
@@ -103,57 +106,43 @@ class StripMeta(NamedTuple):
 def is_border_strip(shape: SkewPartition) -> bool:
     """True when the skew shape is edge-connected with no 2x2 square.
 
-    The empty shape does not count as a border strip.
+    That is one bead move: the inner shape is the outer one less a strip of
+    ``size`` boxes.  The empty shape does not count as a border strip.
     """
-    outer, inner = shape.outer, shape.inner
-    occupied = [
-        r for r in range(1, len(outer) + 1) if outer.part(r) > inner.part(r)
-    ]
-    if not occupied:
-        return False
-    if occupied != list(range(occupied[0], occupied[-1] + 1)):
-        return False  # an empty row splits the shape
-    for r in occupied[:-1]:
-        # columns shared by rows r and r+1
-        overlap = min(outer.part(r), outer.part(r + 1)) - max(
-            inner.part(r), inner.part(r + 1)
-        )
-        if overlap < 1:
-            return False  # disconnected diagonally
-        if overlap > 1:
-            return False  # contains a 2x2 square
-    return True
+    return shape.inner in _strip_removals(shape.outer, shape.size)
 
 
 def strip_meta(shape: SkewPartition) -> StripMeta:
     """Length, height (occupied rows minus one) and topmost occupied row."""
-    if not is_border_strip(shape):
-        raise ValueError(f"{shape} is not a border strip")
-    rows = _diff_rows(shape.outer, shape.inner)
-    return StripMeta(shape.size, len(rows) - 1, rows[0] + 1)
+    return BorderStripTableau(shape[::-1]).metas()[0]  # validates
 
 
 # ---------------------------------------------------------------------------
 # tableaux
 
 
-class BorderStripTableau:
+class BorderStripTableau(tuple):
     """An increasing chain of partitions with border-strip steps.
 
-    ``chain[0]`` is the inner shape, ``chain[-1]`` the outer shape, and the
-    boxes of ``chain[i]/chain[i-1]`` carry ``labels[i-1]`` (labels default
-    to 1..k).  Construction validates every step.
+    The pair ``(chain, labels)``, equal and hashed like it: ``chain[0]`` is
+    the inner shape, ``chain[-1]`` the outer one, and the boxes of
+    ``chain[i]/chain[i-1]`` carry ``labels[i-1]`` (by default 1..k).
+    Construction validates every step.
     """
 
-    __slots__ = ("chain", "labels", "_metas")
+    __slots__ = ()
 
-    def __init__(self, chain, labels=None):
+    chain = property(itemgetter(0), doc="The partitions, inner shape first.")
+    labels = property(itemgetter(1), doc="The label of each strip.")
+
+    def __new__(cls, chain, labels=None):
         chain = tuple(Partition(p) for p in chain)
         if not chain:
             raise ValueError("chain must contain at least the inner shape")
-        metas = []
         for lo, hi in zip(chain, chain[1:]):
-            metas.append(strip_meta(SkewPartition(hi, lo)))  # validates
+            strip = SkewPartition(hi, lo)
+            if not is_border_strip(strip):
+                raise ValueError(f"{strip} is not a border strip")
         k = len(chain) - 1
         if labels is None:
             labels = tuple(range(1, k + 1))
@@ -163,12 +152,11 @@ class BorderStripTableau:
                 raise ValueError("one label per strip required")
             if any(a >= b for a, b in zip(labels, labels[1:])):
                 raise ValueError("labels must strictly increase along the chain")
-        object.__setattr__(self, "chain", chain)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_metas", tuple(metas))
+        return super().__new__(cls, (chain, labels))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BorderStripTableau is immutable")
+    def __getnewargs__(self) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
+        # copy and pickle call cls(chain, labels), not cls((chain, labels))
+        return tuple(self)
 
     @property
     def shape(self) -> SkewPartition:
@@ -176,7 +164,7 @@ class BorderStripTableau:
 
     @property
     def type(self) -> Composition:
-        return Composition(m.length for m in self._metas)
+        return Composition(m.length for m in self.metas())
 
     def strips(self) -> list[SkewPartition]:
         return [
@@ -184,39 +172,26 @@ class BorderStripTableau:
         ]
 
     def metas(self) -> tuple[StripMeta, ...]:
-        return self._metas
+        metas = []
+        for lo, hi in zip(self.chain, self.chain[1:]):
+            rows = _diff_rows(hi, lo)
+            metas.append(StripMeta(hi.size - lo.size, len(rows) - 1, rows[0] + 1))
+        return tuple(metas)
 
     @property
     def sign(self) -> int:
-        return (-1) ** sum(m.height for m in self._metas)
+        return (-1) ** sum(m.height for m in self.metas())
 
     def render(self) -> str:
         """ASCII grid; inner boxes print as ':' and strip boxes as labels."""
-        outer = self.chain[-1]
-        inner = self.chain[0]
-        fill: dict[tuple[int, int], str] = {}
-        for label, (lo, hi) in zip(self.labels, zip(self.chain, self.chain[1:])):
-            for r in range(1, len(hi) + 1):
-                for c in range(lo.part(r) + 1, hi.part(r) + 1):
-                    fill[(r, c)] = str(label)
-        width = max((len(v) for v in fill.values()), default=1)
-        lines = []
-        for r in range(1, len(outer) + 1):
-            cells = []
-            for c in range(1, outer.part(r) + 1):
-                cells.append(":" if c <= inner.part(r) else fill[(r, c)])
-            lines.append(" ".join(cell.rjust(width) for cell in cells))
-        return "\n".join(lines)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BorderStripTableau)
-            and self.chain == other.chain
-            and self.labels == other.labels
+        fill = dict.fromkeys(self.chain[0].boxes(), ":")
+        for label, strip in zip(self.labels, self.strips()):
+            fill.update(dict.fromkeys(strip.boxes(), str(label)))
+        width = max(map(len, fill.values()), default=1)
+        return "\n".join(
+            " ".join(fill[r, c].rjust(width) for c in range(1, part + 1))
+            for r, part in enumerate(self.chain[-1], start=1)
         )
-
-    def __hash__(self) -> int:
-        return hash((self.chain, self.labels))
 
     def __repr__(self) -> str:
         return f"BorderStripTableau({[tuple(p) for p in self.chain]!r})"

@@ -1,8 +1,9 @@
 """Exact class functions on symmetric groups.
 
-A class function on S_r is a table of integers indexed by the partitions
-of r.  Skew characters are obtained from the signed strip-count recursion
-in :mod:`defres.borderstrips`, and an irreducible character is the skew
+A class function on S_r is the tuple ``(r, values)``, its integers listed
+over the partitions of r in ``partitions_of`` order.  Skew characters are
+obtained from the signed strip-count recursion in
+:mod:`defres.borderstrips`, and an irreducible character is the skew
 character of a straight shape.  Induction from a Young subgroup
 S_l0 x S_l1 x ... is evaluated directly by distributing whole cycles over
 the factors, which keeps everything in integer arithmetic.
@@ -26,6 +27,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
 from math import comb
+from operator import itemgetter
 
 from .borderstrips import mn_value
 from .partitions import (
@@ -37,40 +39,46 @@ from .partitions import (
 )
 
 
-class ClassFunction:
+class ClassFunction(tuple):
     """An integer-valued class function on S_r, r = ``degree``.
 
-    ``values`` must provide one integer per partition of r, keyed by
-    partitions or by the equal plain tuples.  Instances are hashable and
-    must not be mutated after construction.
+    The pair ``(degree, values)``, values in ``partitions_of`` order; it
+    equals and hashes like that plain pair.  The constructor takes one
+    integer per partition of r, keyed by partitions or the equal tuples.
     """
 
-    __slots__ = ("degree", "values", "_key")
+    __slots__ = ()
 
-    def __init__(self, degree: int, values: dict):
+    degree = property(itemgetter(0), doc="The degree r of S_r.")
+
+    def __new__(cls, degree: int, values: dict):
         if degree < 0:
             raise ValueError("degree must be non-negative")
         table = {Partition(a): int(v) for a, v in values.items()}
-        if table.keys() != set(partitions_of(degree)):
+        index = _class_index(degree)
+        if table.keys() != index.keys():
             raise ValueError(f"values must cover the classes of S_{degree} exactly")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "values", table)
-        object.__setattr__(self, "_key", (degree, tuple(sorted(table.items()))))
+        return super().__new__(cls, (degree, tuple(table[a] for a in index)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ClassFunction is immutable")
+    def __getnewargs__(self) -> tuple[int, dict]:
+        # copy and pickle call cls(degree, values), not cls((degree, values))
+        return self.degree, self.values
+
+    @property
+    def values(self) -> dict:
+        return dict(zip(_class_index(self.degree), self[1]))
 
     def __call__(self, alpha) -> int:
+        degree, values = self
+        index = _class_index(degree)
         try:
-            return self.values[alpha]
+            return values[index[alpha]]
         except (KeyError, TypeError):  # not hashed as a class: normalize
             alpha = Partition(alpha)
         try:
-            return self.values[alpha]
+            return values[index[alpha]]
         except KeyError:
-            raise ValueError(
-                f"{alpha} is not a class of S_{self.degree}"
-            ) from None
+            raise ValueError(f"{alpha} is not a class of S_{degree}") from None
 
     @classmethod
     def trivial(cls, r: int) -> "ClassFunction":
@@ -80,14 +88,13 @@ class ClassFunction:
     def sign(cls, r: int) -> "ClassFunction":
         return cls(r, {a: (-1) ** (r - len(a)) for a in partitions_of(r)})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClassFunction) and self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
-
     def __repr__(self) -> str:
-        return f"ClassFunction({self.degree}, {{...{len(self.values)} classes}})"
+        return f"ClassFunction({self.degree}, {{...{len(self[1])} classes}})"
+
+
+@cache
+def _class_index(degree: int) -> dict[Partition, int]:
+    return {a: i for i, a in enumerate(partitions_of(degree))}
 
 
 @cache

@@ -271,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "tableau", "recursive", "oracle", "oracle-naive"),
                    default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="evaluation budget for the naive oracle")
+                   help="evaluation budget for both oracles")
     add_common(p)
     p.set_defaults(handler=_cmd_defres)
 
@@ -315,8 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a shape or type may start with "-" ("-/-"), so bind it to its option
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--shape", "--gamma", "--alpha"):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = build_parser().parse_args(argv)
     try:
         text, payload = args.handler(args)
     except ValueError as exc:

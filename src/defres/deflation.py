@@ -11,19 +11,20 @@ Two independent evaluators are provided on top of the wreath oracle:
   m-border-strip tableaux of type gamma;
 * ``defres_recursive`` handles an arbitrary irreducible theta = chi^kappa
   by peeling one cycle of gamma at a time: the skew character restricts
-  to S_(m*c) x S_(m*(n-c)) along ``characters.skew_restriction``, the
-  lower half deflates at a single c-cycle and the upper half recurses.  A
-  single cycle of length c deflates through the c-quotient: the value is 0
-  unless the lower half is c-decomposable, and otherwise it is the quotient
-  sign times the multiplicity of chi^kappa in the character induced from
-  the quotient components.
+  to S_(m*c) x S_(m*(n-c)) along every waistline tau of
+  ``partitions.intermediates`` (as in ``characters.skew_restriction``),
+  the lower half deflates at a single c-cycle and the upper half recurses
+  where that is non-zero.  A single cycle of length c deflates through
+  the c-quotient: the value is 0 unless the lower half is c-decomposable,
+  and otherwise it is the quotient sign times the multiplicity of
+  chi^kappa in the character induced from the quotient components.
 
 That single-cycle step is written once, in ``_single_cycle``, which reads
 the abacus once per candidate shape and takes the multiplicity from
-``characters._multiplicity``; it and ``_recursive`` key their memos on
-the skew shapes as the restriction hands them over.  ``farahat_check``
-shares the quotient step, and ``ncycle_vanishing`` is the step itself on a
-straight shape.
+``characters._multiplicity``; it and ``_recursive`` key their memos on the
+halves of the restriction as skew shapes.  ``farahat_check`` shares the
+quotient step, and ``ncycle_vanishing`` is the step itself on a straight
+shape.
 
 ``defres_sign`` and ``defres_degree`` are the closed forms for the sign
 character and the degree.
@@ -43,9 +44,8 @@ from .characters import (
     irreducible_character,
     lr_coefficient,
     skew_character,
-    skew_restriction,
 )
-from .partitions import Composition, Partition, SkewPartition, stretch
+from .partitions import Composition, Partition, SkewPartition, intermediates, stretch
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,10 @@ def _recursive(
         return 1 if shape.outer == shape.inner else 0
     c = gamma[0]
     total = 0
-    for lower, upper in skew_restriction(shape, m * c):
-        base = _single_cycle(lower, c, kappa)
+    for tau in intermediates(shape, m * c):
+        base = _single_cycle(SkewPartition(tau, shape.inner), c, kappa)
         if base:
+            upper = SkewPartition(shape.outer, tau)
             total += base * _recursive(upper, m, kappa, gamma[1:])
     return total
 

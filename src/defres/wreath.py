@@ -15,7 +15,9 @@ matters, which is what the grouped oracle exploits.
 ``oracle_defres`` averages psi * tilde_theta over the base group.  The
 default path groups base tuples by the classes of their cycle products and
 is exact and fast; the naive path literally sums over all (m!)^n base
-tuples and exists purely as an independent check, guarded by a budget.
+tuples and exists purely as an independent check.  A budget guards both:
+it bounds the p(m)^l class assignments of the grouped path, l the number
+of cycles of g, and the (m!)^n base tuples of the naive one.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when the naive oracle would exceed its evaluation budget."""
+    """Raised when an oracle would exceed its evaluation budget."""
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,11 @@ def oracle_defres(
     total = Fraction(0)
     lengths = [len(c) for c in cycles(g)]
     classes = partitions_of(m)
+    needed = len(classes) ** len(lengths)
+    if needed > budget:
+        raise BudgetExceeded(
+            f"grouped oracle needs {needed} class assignments, budget {budget}"
+        )
     for assignment in product(classes, repeat=len(lengths)):
         weight = Fraction(1)
         for beta in assignment:

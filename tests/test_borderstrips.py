@@ -145,8 +145,8 @@ class TestIsBorderStrip:
         assert not is_border_strip(SkewPartition((1,), (1,)))  # empty
 
     def test_matches_box_oracle_exhaustively(self):
-        for size in range(0, 7):
-            for shape in skew_shapes(size, 2):
+        for size in range(0, 9):
+            for shape in skew_shapes(size, 3):
                 assert is_border_strip(shape) == strip_oracle(shape), shape
 
 
@@ -241,8 +241,8 @@ class TestEnumerateBst:
         assert chains == sorted(chains)
 
     def test_single_box_chains_are_standard_tableaux(self):
-        for size in range(0, 7):
-            for shape in skew_shapes(size, 2):
+        for size in range(0, 9):
+            for shape in skew_shapes(size, 3):
                 got = len(enumerate_bst(shape, Composition((1,) * size)))
                 assert got == syt_count(shape), shape
 

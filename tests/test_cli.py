@@ -62,6 +62,11 @@ class TestMn:
             main(["mn", "--shape", "2,1", "--gamma", "0,3"])
         assert exc.value.code == 2
 
+    def test_values_starting_with_a_dash(self, capsys):
+        # "-/-" is the empty skew shape, not an option
+        code, out, err = run(capsys, "mn", "--shape", "-/-", "--gamma", "-")
+        assert (code, out, err) == (0, "1\n", "")
+
 
 class TestDefres:
     def test_worked_example(self, capsys):
@@ -126,6 +131,17 @@ class TestDefres:
         )
         assert code == 3
         assert err.startswith("error:")
+
+    def test_grouped_budget_exits_3(self, capsys):
+        # 5 classes of S_4 on each of 5 cycles: 3,125 class assignments
+        code, out, err = run(
+            capsys,
+            "defres", "--shape", "4,4,4,4,4", "--m", "4", "--gamma", "1,1,1,1,1",
+            "--theta", "2,1,1", "--evaluator", "oracle", "--budget", "10",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_indivisible_size_exits_1(self, capsys):
         code, out, err = run(

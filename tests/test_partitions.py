@@ -8,7 +8,9 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from defres import (
+    BorderStripTableau,
     Box,
+    ClassFunction,
     Composition,
     DeflationQuery,
     Partition,
@@ -17,13 +19,16 @@ from defres import (
     conjugate,
     contains,
     display,
+    enumerate_m_bst,
     intermediates,
+    irreducible_character,
     mn_value,
     n_quotient,
     partitions_of,
     repeat_parts,
     skew_shapes,
     stretch,
+    unique_cycle_tableau,
 )
 
 from defres.borderstrips import _mn
@@ -82,6 +87,14 @@ class TestTupleSemantics:
         assert shape == ((3, 2), (1,))
         assert hash(shape) == hash(((3, 2), (1,)))
         assert shape != SkewPartition((3, 2))
+        chi = irreducible_character((2, 1))
+        assert chi == (3, (-1, 0, 2))
+        assert hash(chi) == hash((3, (-1, 0, 2)))
+        assert chi != ClassFunction.trivial(3)
+        t = BorderStripTableau([(1,), (2,), (2, 2)])
+        assert t == (((1,), (2,), (2, 2)), (1, 2))
+        assert hash(t) == hash((((1,), (2,), (2, 2)), (1, 2)))
+        assert t != BorderStripTableau([(1,), (2,), (2, 2)], labels=(2, 3))
 
     def test_construction_from_an_instance_returns_it(self):
         p = Partition((3, 1))
@@ -101,6 +114,12 @@ class TestTupleSemantics:
             SkewPartition((3, 1)).outer = Partition((4,))
         with pytest.raises(AttributeError):
             display((3, 1), 2).beads = frozenset()
+        with pytest.raises(AttributeError):
+            ClassFunction.trivial(2).degree = 3
+        with pytest.raises(AttributeError):
+            ClassFunction.trivial(2).extra = 1
+        with pytest.raises(AttributeError):
+            BorderStripTableau([(1,), (2,)]).chain = ()
 
     def test_pickle_and_deepcopy_round_trip(self):
         shape = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
@@ -114,6 +133,11 @@ class TestTupleSemantics:
             display((4, 2, 1), 3),
             n_quotient(shape, 3),
             DeflationQuery(shape, 3, 5, Partition((2, 1)), Composition((3, 2))),
+            irreducible_character((2, 1)),
+            ClassFunction.sign(0),
+            BorderStripTableau([(1, 1), (2, 1), (3, 1)], labels=(3, 4)),
+            *enumerate_m_bst(SkewPartition((4, 2)), 2, (2, 1)),
+            unique_cycle_tableau(SkewPartition((6, 3, 3), (3,)), 3, 3)[0],
         ):
             for y in (
                 pickle.loads(pickle.dumps(x)),

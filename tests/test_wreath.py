@@ -166,6 +166,11 @@ class TestOracleDefres:
         shape = SkewPartition((3, 3, 3))
         with pytest.raises(BudgetExceeded):
             oracle_defres(shape, theta, 3, (0, 1, 2), budget=100, naive=True)
+        # grouped: p(3) = 3 classes on each of 3 cycles, 27 class assignments
+        with pytest.raises(BudgetExceeded):
+            oracle_defres(shape, theta, 3, (0, 1, 2), budget=26)
+        naive = oracle_defres(shape, theta, 3, (0, 1, 2), naive=True)
+        assert oracle_defres(shape, theta, 3, (0, 1, 2), budget=27) == naive
 
     def test_worked_example(self):
         shape = SkewPartition((6, 5, 3, 2), (3, 1))

@@ -194,7 +194,10 @@ class BorderStripTableau(tuple):
         )
 
     def __repr__(self) -> str:
-        return f"BorderStripTableau({[tuple(p) for p in self.chain]!r})"
+        chain = [tuple(p) for p in self.chain]
+        if self.labels == tuple(range(1, len(chain))):
+            return f"BorderStripTableau({chain!r})"
+        return f"BorderStripTableau({chain!r}, labels={self.labels!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,8 @@ class ClassFunction(tuple):
         return cls(r, {a: (-1) ** (r - len(a)) for a in partitions_of(r)})
 
     def __repr__(self) -> str:
-        return f"ClassFunction({self.degree}, {{...{len(self[1])} classes}})"
+        table = {tuple(a): v for a, v in self.values.items()}
+        return f"ClassFunction({self.degree}, {table!r})"
 
 
 @cache

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .abacus import n_quotient, paired_displays
 from .borderstrips import enumerate_m_bst, mn_value
@@ -199,6 +200,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
                 if mode == "general" and kappa.size != m:
                     continue
                 theta = kappa if mode == "general" else _resolve_theta(mode, m)
+                start = time.perf_counter()
                 instances = 0
                 cell_failures = 0
                 for shape in skew_shapes(m * n, args.inner_max):
@@ -220,6 +222,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
                         "instances": instances,
                         "m": m,
                         "n": n,
+                        "seconds": time.perf_counter() - start,
                         "theta": mode if mode != "general" else str(kappa),
                     }
                 )
@@ -231,7 +234,8 @@ def _cmd_verify(args) -> tuple[str, dict]:
     ok = all(c["failures"] == 0 for c in cells)
     lines = [
         f"m={c['m']} n={c['n']} theta={c['theta']}: "
-        f"{c['instances']} instances, {c['failures']} failures"
+        f"{c['instances']} instances, {c['failures']} failures, "
+        f"{c['seconds']:.3f} s"
         for c in cells
     ]
     lines.extend(failures)
@@ -271,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("auto", "tableau", "recursive", "oracle", "oracle-naive"),
                    default="auto")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="evaluation budget for both oracles")
+                   help="evaluation budget for both oracles: class multisets "
+                   "for oracle, base tuples for oracle-naive")
     add_common(p)
     p.set_defaults(handler=_cmd_defres)
 

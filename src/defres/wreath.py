@@ -13,20 +13,21 @@ product over cycles.  Only the conjugacy class of each cycle product
 matters, which is what the grouped oracle exploits.
 
 ``oracle_defres`` averages psi * tilde_theta over the base group.  The
-default path groups base tuples by the classes of their cycle products and
-is exact and fast; the naive path literally sums over all (m!)^n base
-tuples and exists purely as an independent check.  A budget guards both:
-it bounds the p(m)^l class assignments of the grouped path, l the number
-of cycles of g, and the (m!)^n base tuples of the naive one.
+default path needs, per cycle length s of g, only the multiset of classes
+on its k_s cycles (a conjugacy class of the wreath product), and sums over
+those multisets in integers.  The naive path literally sums over all
+(m!)^n base tuples and exists purely as an independent check.  A budget
+guards both: it bounds the prod_s C(p(m) + k_s - 1, k_s) class multisets
+of the grouped path and the (m!)^n base tuples of the naive one.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
-from itertools import product
-from math import factorial
+from itertools import chain, combinations_with_replacement, product
+from math import comb, factorial, prod
 
 from .borderstrips import mn_value
 from .partitions import Partition, SkewPartition, centralizer_order, partitions_of
@@ -75,8 +76,8 @@ def cycle_products(w: WreathElement) -> list[tuple[tuple[int, ...], int]]:
     """(product of base permutations along the cycle, cycle length) pairs."""
     out = []
     for cyc in cycles(w.top):
-        prod = reduce(lambda acc, x: compose(w.base[x], acc), cyc, identity(len(w.base[0])))
-        out.append((prod, len(cyc)))
+        h = reduce(lambda acc, x: compose(w.base[x], acc), cyc, identity(len(w.base[0])))
+        out.append((h, len(cyc)))
     return out
 
 
@@ -85,8 +86,8 @@ def tilde_theta_value(theta, w: WreathElement) -> int:
     if w.base and len(w.base[0]) != theta.degree:
         raise ValueError("theta must be a class function on the base group")
     value = 1
-    for prod, _ in cycle_products(w):
-        value *= theta(cycle_type_of(prod))
+    for h, _ in cycle_products(w):
+        value *= theta(cycle_type_of(h))
     return value
 
 
@@ -124,26 +125,31 @@ def oracle_defres(
         raise ValueError(f"|{shape}| = {shape.size} must equal m * n = {m * n}")
     if naive:
         return _oracle_naive(shape, theta, n, g, budget)
-    total = Fraction(0)
-    lengths = [len(c) for c in cycles(g)]
+    lengths = Counter(len(c) for c in cycles(g))
     classes = partitions_of(m)
-    needed = len(classes) ** len(lengths)
+    needed = prod(comb(len(classes) + k - 1, k) for k in lengths.values())
     if needed > budget:
         raise BudgetExceeded(
-            f"grouped oracle needs {needed} class assignments, budget {budget}"
+            f"grouped oracle needs {needed} class multisets, budget {budget}"
         )
-    for assignment in product(classes, repeat=len(lengths)):
-        weight = Fraction(1)
-        for beta in assignment:
-            weight *= Fraction(theta(beta), centralizer_order(beta))
-        if weight == 0:
-            continue
-        parts = []
-        for beta, s in zip(assignment, lengths):
-            parts.extend(s * p for p in beta)
-        total += weight * mn_value(shape, sorted(parts, reverse=True))
-    assert total.denominator == 1, "oracle average is not integral"
-    return int(total)
+    # |beta| * theta(beta), |beta| = m! / z_beta the size of the class
+    weight = {b: factorial(m) // centralizer_order(b) * theta(b) for b in classes}
+    live = [b for b in classes if weight[b]]
+    per_length = []  # (weight, parts) of each class multiset, per cycle length
+    for s, k in lengths.items():
+        terms = []
+        for multiset in combinations_with_replacement(live, k):
+            w = factorial(k) // prod(map(factorial, Counter(multiset).values()))
+            w *= prod(weight[b] for b in multiset)
+            terms.append((w, [s * p for b in multiset for p in b]))
+        per_length.append(terms)
+    total = 0
+    for combined in product(*per_length):
+        parts = sorted(chain.from_iterable(p for _, p in combined), reverse=True)
+        total += prod(w for w, _ in combined) * mn_value(shape, parts)
+    order = factorial(m) ** sum(lengths.values())
+    assert total % order == 0, "oracle average is not integral"
+    return total // order
 
 
 def _oracle_naive(shape, theta, n, g, budget):

@@ -133,7 +133,7 @@ class TestDefres:
         assert err.startswith("error:")
 
     def test_grouped_budget_exits_3(self, capsys):
-        # 5 classes of S_4 on each of 5 cycles: 3,125 class assignments
+        # multisets of 5 of the 5 classes of S_4: C(9, 5) = 126 terms
         code, out, err = run(
             capsys,
             "defres", "--shape", "4,4,4,4,4", "--m", "4", "--gamma", "1,1,1,1,1",
@@ -305,6 +305,15 @@ class TestVerify:
         lines = out.strip().splitlines()
         assert lines[-1] == "verify: ok"
         assert all("failures" in line for line in lines[:-1])
+
+    def test_every_cell_reports_seconds(self, capsys):
+        code, payload = run_json(
+            capsys, "verify", "--max-size", "6", "--inner-max", "1"
+        )
+        assert code == 0
+        assert all(c["seconds"] >= 0 for c in payload["cells"])
+        code, out, err = run(capsys, "verify", "--max-size", "4", "--inner-max", "0")
+        assert all(line.endswith(" s") for line in out.splitlines()[:-1])
 
     @pytest.mark.parametrize(
         "argv",

@@ -148,6 +148,13 @@ class TestTupleSemantics:
                 assert type(y) is type(x)
                 assert repr(y) == repr(x)
 
+    def test_unequal_objects_print_differently(self):
+        chain = [(1, 1), (2, 1), (3, 1)]
+        tableaux = [BorderStripTableau(chain), BorderStripTableau(chain, (3, 4))]
+        characters = [irreducible_character(lam) for lam in partitions_of(3)]
+        for group in (tableaux, characters):
+            assert len({repr(x) for x in group}) == len(set(group)) == len(group)
+
     def test_partition_and_tuple_share_a_memo_entry(self):
         shape = SkewPartition((3, 2), (1,))
         _mn.cache_clear()

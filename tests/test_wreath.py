@@ -166,11 +166,11 @@ class TestOracleDefres:
         shape = SkewPartition((3, 3, 3))
         with pytest.raises(BudgetExceeded):
             oracle_defres(shape, theta, 3, (0, 1, 2), budget=100, naive=True)
-        # grouped: p(3) = 3 classes on each of 3 cycles, 27 class assignments
+        # grouped: multisets of 3 of the p(3) = 3 classes, C(5, 3) = 10
         with pytest.raises(BudgetExceeded):
-            oracle_defres(shape, theta, 3, (0, 1, 2), budget=26)
+            oracle_defres(shape, theta, 3, (0, 1, 2), budget=9)
         naive = oracle_defres(shape, theta, 3, (0, 1, 2), naive=True)
-        assert oracle_defres(shape, theta, 3, (0, 1, 2), budget=27) == naive
+        assert oracle_defres(shape, theta, 3, (0, 1, 2), budget=10) == naive
 
     def test_worked_example(self):
         shape = SkewPartition((6, 5, 3, 2), (3, 1))
@@ -179,9 +179,10 @@ class TestOracleDefres:
         assert oracle_defres(shape, theta, 6, g) == 1
 
     def test_grouped_agrees_with_naive(self):
-        for m, n in ((2, 2), (2, 3), (3, 2)):
-            shapes = list(skew_shapes(m * n, 1))
-            for shape in shapes:
+        # (2, 4) and (3, 3) have several cycles of g of one length, so they
+        # pin the multinomial weights of the class multisets
+        for m, n, inner in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 4, 1), (3, 3, 0)):
+            for shape in skew_shapes(m * n, inner):
                 for theta_label in partitions_of(m):
                     theta = irreducible_character(theta_label)
                     for gamma in partitions_of(n):
@@ -189,6 +190,15 @@ class TestOracleDefres:
                         grouped = oracle_defres(shape, theta, n, g)
                         naive = oracle_defres(shape, theta, n, g, naive=True)
                         assert grouped == naive, (shape, theta_label, gamma)
+
+    def test_identity_class_beyond_the_naive_reach(self):
+        # m = 4, g = 1: C(14, 10) = 1,001 class multisets, where the
+        # ordered class assignments number 5^10
+        from defres import a_coefficient
+
+        shape = SkewPartition((10, 10, 10, 10))
+        got = oracle_defres(shape, ClassFunction.trivial(4), 10, tuple(range(10)))
+        assert got == a_coefficient(shape, 4, Composition((1,) * 10)) == 1129254
 
     def test_class_function_of_the_top_type(self):
         # the average may only depend on the cycle type of g

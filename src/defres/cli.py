@@ -48,6 +48,13 @@ def _resolve_theta(text: str, m: int) -> Partition:
     return theta
 
 
+def _budget(text: str) -> int:
+    # an argparse type, so a negative budget is an argument error (exit 2)
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _cmd_defres(args) -> tuple[str, dict]:
     shape: SkewPartition = args.shape
     if args.m < 1:
@@ -274,9 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evaluator",
                    choices=("auto", "tableau", "recursive", "oracle", "oracle-naive"),
                    default="auto")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="evaluation budget for both oracles: class multisets "
-                   "for oracle, base tuples for oracle-naive")
+    p.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                   help="evaluation budget for both oracles, an integer >= 0: "
+                   "class multisets for oracle, base tuples for oracle-naive")
     add_common(p)
     p.set_defaults(handler=_cmd_defres)
 

@@ -20,11 +20,12 @@ Two independent evaluators are provided on top of the wreath oracle:
   chi^kappa in the character induced from the quotient components.
 
 That single-cycle step is written once, in ``_single_cycle``, which reads
-the abacus once per candidate shape and takes the multiplicity from
-``characters._multiplicity``; it and ``_recursive`` key their memos on the
-halves of the restriction as skew shapes.  ``farahat_check`` shares the
-quotient step, and ``ncycle_vanishing`` is the step itself on a straight
-shape.
+the abacus once per skew character of the lower half: its memo keys on
+``_skew_key``, the character's connected components, each unchanged by
+translation and a 180 degree rotation (Macdonald, I.5), and it computes
+on one representative shape.  ``_recursive`` keys its memo on the upper
+half as a skew shape.  ``farahat_check`` shares the quotient step, and
+``ncycle_vanishing`` is the step itself on a straight shape.
 
 ``defres_sign`` and ``defres_degree`` are the closed forms for the sign
 character and the degree.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import zip_longest
 
 from .abacus import is_n_decomposable, n_quotient
 from .borderstrips import a_coefficient, mn_value
@@ -95,10 +97,52 @@ def _quotient_characters(
     return quotient.sign, tuple(skew_character(comp) for comp in quotient.components)
 
 
+def _skew_key(outer, inner) -> tuple:
+    # The skew character of outer/inner as its sorted connected components.
+    # A component is the (start, end) columns of its rows, shifted so that
+    # its last row starts at column 0, or its 180 degree rotation if that is
+    # smaller.  Non-empty rows touch iff the upper starts before the lower ends.
+    comps = []
+    rows: list[tuple[int, int]] = []
+    for end, start in zip_longest(outer, inner, fillvalue=0):
+        if start == end:
+            continue
+        if rows and rows[-1][0] >= end:
+            comps.append(_canonical(rows))
+            rows = []
+        rows.append((start, end))
+    if rows:
+        comps.append(_canonical(rows))
+    comps.sort()
+    return tuple(comps)
+
+
+def _canonical(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    z = rows[-1][0]
+    w = rows[0][1] - z
+    shifted = tuple([(s - z, e - z) for s, e in rows])
+    rotated = tuple([(w - e, w - s) for s, e in reversed(shifted)])
+    return shifted if shifted <= rotated else rotated
+
+
+def _stacked(key: tuple) -> SkewPartition:
+    # a shape with the skew character of key: its components stacked from
+    # the bottom left, each touching the next only at a corner
+    outer, inner = [], []
+    offset = sum(rows[0][1] for rows in key)
+    for rows in reversed(key):
+        offset -= rows[0][1]
+        for s, e in rows:
+            outer.append(offset + e)
+            inner.append(offset + s)
+    return SkewPartition(outer, inner)
+
+
 @cache
-def _single_cycle(shape: SkewPartition, c: int, kappa: tuple[int, ...]) -> int:
-    # deflation of the skew character of shape through chi^kappa,
-    # evaluated at a single c-cycle
+def _single_cycle(key: tuple, c: int, kappa: tuple[int, ...]) -> int:
+    # deflation through chi^kappa, evaluated at a single c-cycle, of the
+    # skew character with key ``_skew_key``
+    shape = _stacked(key)
     if not is_n_decomposable(shape, c):
         return 0
     sign, thetas = _quotient_characters(shape, c)
@@ -115,7 +159,7 @@ def _recursive(
     c = gamma[0]
     total = 0
     for tau in intermediates(shape, m * c):
-        base = _single_cycle(SkewPartition(tau, shape.inner), c, kappa)
+        base = _single_cycle(_skew_key(tau, shape.inner), c, kappa)
         if base:
             upper = SkewPartition(shape.outer, tau)
             total += base * _recursive(upper, m, kappa, gamma[1:])
@@ -192,4 +236,4 @@ def ncycle_vanishing(lam, kappa, n: int) -> int:
     kappa = Partition(kappa)
     if n < 1 or lam.size != kappa.size * n:
         raise ValueError("need n >= 1 and |lam| = |kappa| * n")
-    return _single_cycle(SkewPartition(lam), n, kappa)
+    return _single_cycle(_skew_key(lam, ()), n, kappa)

@@ -143,6 +143,20 @@ class TestDefres:
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("budget", ["-5", "ten", "²"])
+    def test_bad_budget_exits_2(self, capsys, budget):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "defres", "--shape", "4,2", "--m", "2", "--gamma", "2,1",
+                "--evaluator", "oracle", "--budget", budget,
+            ])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        errors = [line for line in out.err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"--budget: expected an integer >= 0, got '{budget}'" in errors[0]
+
     def test_indivisible_size_exits_1(self, capsys):
         code, out, err = run(
             capsys, "defres", "--shape", "3,2", "--m", "2", "--gamma", "2"

@@ -21,9 +21,11 @@ from defres import (
     ncycle_vanishing,
     oracle_defres,
     partitions_of,
+    skew_character,
     skew_shapes,
     stretch,
 )
+from defres.deflation import _recursive, _single_cycle, _skew_key, _stacked
 from defres.perms import with_cycle_type
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))
@@ -147,6 +149,66 @@ class TestDefresRecursive:
         shape = SkewPartition((2, 1), (1, 1))
         with pytest.raises(ValueError):
             query(shape, 3, (2, 1), ())
+
+
+def key_sweep():
+    # every skew shape with at most 8 boxes and an inner size of at most 3
+    for total in range(9):
+        yield from skew_shapes(total, 3)
+
+
+class TestSkewKey:
+    def test_stacked_shape_has_the_skew_character(self):
+        by_key = {}
+        for shape in key_sweep():
+            key = _skew_key(*shape)
+            chi = skew_character(shape)
+            assert skew_character(_stacked(key)) == chi, shape
+            assert by_key.setdefault(key, chi) == chi, shape
+        # 898 shapes, 373 keys and 372 characters: 4,3,2,1/2 and
+        # 4,3,2,1/1,1 share a character but no rotation relates them
+        assert len(by_key) == 373
+
+    def test_invariant_under_rotation_and_translation(self):
+        for shape in key_sweep():
+            outer, inner = shape
+            rows, width = len(outer), outer.part(1)
+            inner_rows = [inner.part(r) for r in range(1, rows + 1)]
+            rotated = SkewPartition(
+                [width - p for p in reversed(inner_rows)],
+                [width - p for p in reversed(outer)],
+            )
+            moved = SkewPartition([p + 1 for p in outer], [p + 1 for p in inner_rows])
+            key = _skew_key(*shape)
+            assert _skew_key(*rotated) == key, shape
+            assert _skew_key(*moved) == key, shape
+
+    def test_components_and_rotations_share_a_key(self):
+        # a vertical and a horizontal domino touching at a corner, in
+        # either order, and a hook turned by 180 degrees
+        dominoes = (((0, 1), (0, 1)), ((0, 2),))
+        assert _skew_key((3, 1, 1), (1,)) == _skew_key((3, 3, 2), (2, 2)) == dominoes
+        assert _skew_key((3, 3, 3), (2, 2)) == _skew_key((3, 1, 1), ())
+
+
+class TestSingleCycleMemo:
+    def test_cold_query_computes_each_character_once(self):
+        # 33,475 lower halves with 895 distinct skew characters
+        shape = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
+        gamma = (4, 3, 2, 1, 1, 1)
+        _single_cycle.cache_clear()
+        _recursive.cache_clear()
+        got = defres_recursive(query(shape, 3, (2, 1), gamma))
+        assert _single_cycle.cache_info().misses <= 1000
+        theta = irreducible_character((2, 1))
+        assert got == oracle_defres(shape, theta, 12, with_cycle_type(gamma, 12))
+
+    def test_non_zero_value_at_m_n_18(self):
+        shape = SkewPartition((8, 6, 4, 2), (2,))
+        theta = irreducible_character((2, 1))
+        want = oracle_defres(shape, theta, 6, with_cycle_type((2, 2, 1, 1), 6))
+        assert want == 18
+        assert defres_recursive(query(shape, 3, (2, 1), (2, 2, 1, 1))) == want
 
 
 class TestFarahatCheck:
@@ -306,11 +368,13 @@ class TestPlethysmMultiplicities:
 
     def test_non_negative_integers(self):
         triples = 0
-        for m, n in itertools.product((2, 3), repeat=2):
+        for m, n in itertools.product(range(2, 7), repeat=2):
+            if m * n > 12:
+                continue
             for lam in partitions_of(m * n):
                 for kappa in partitions_of(m):
                     for nu in partitions_of(n):
                         c = plethysm_coefficient(lam, kappa.parts, nu.parts)
                         assert c.denominator == 1 and c >= 0, (lam, kappa, nu)
                         triples += 1
-        assert triples == 422
+        assert triples == 7736

@@ -15,17 +15,18 @@ degree, and each such split contributes the product of the factor
 characters at the cycle types it received, weighted by the number of ways
 to pick which cycles of each length go where.
 
-``_multiplicity`` takes the multiplicity of an irreducible in such an
-induced character, by the inner product over the classes; it is the only
-place that does, serving ``lr_coefficient`` and the quotient evaluators of
-:mod:`defres.deflation` alike.
+``lr_fillings`` takes the multiplicity of an irreducible in a product of
+skew characters by counting Littlewood-Richardson fillings, in integers
+and without class functions; it is the only place that does, serving
+``lr_coefficient`` and the single-cycle step of :mod:`defres.deflation`
+alike.  ``inner_product`` over the classes stays as the independent check.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import comb
 from operator import itemgetter
 
@@ -195,19 +196,53 @@ def lr_coefficient(kappa, factors) -> int:
     factors = tuple(Partition(f) for f in factors)
     if sum(f.size for f in factors) != kappa.size:
         raise ValueError("factor sizes must sum to |kappa|")
-    thetas = tuple(irreducible_character(f) for f in factors)
-    return _multiplicity(irreducible_character(kappa), partial(_induced, thetas))
+    return lr_fillings([(f, ()) for f in factors], kappa)
 
 
-def _multiplicity(chi: ClassFunction, induced) -> int:
-    # <chi, psi> for a character psi with psi(a) = induced(a), an integer
-    # since chi is irreducible
-    total = sum(
-        Fraction(induced(a) * chi(a), centralizer_order(a))
-        for a in partitions_of(chi.degree)
-    )
-    assert total.denominator == 1, "induced character decomposition not integral"
-    return int(total)
+def lr_fillings(shapes, kappa) -> int:
+    """Littlewood-Richardson fillings of content kappa of a direct sum.
+
+    The skew shapes ``(outer, inner)`` are stacked corner to corner; the
+    count is the multiplicity of chi^kappa in the product of their skew
+    characters (Macdonald, I.9).  A filling is read in reverse reading
+    order, rows weakly increasing, columns strictly increasing, and every
+    prefix of the word read is a lattice word.  Shapes whose sizes do not
+    sum to |kappa| have none.
+    """
+    # cells in reading order: each shape in turn, its rows from the top,
+    # each right to left; a cell holds the earlier cells to its right and
+    # above it, or -1.  Corner stacking puts no cell above another shape's.
+    cells: list[tuple[int, int]] = []
+    for outer, inner in shapes:
+        above: dict[int, int] = {}
+        for r, end in enumerate(outer):
+            start = inner[r] if r < len(inner) else 0
+            row, right = {}, -1
+            for col in range(end - 1, start - 1, -1):
+                cells.append((right, above.get(col, -1)))
+                right = row[col] = len(cells) - 1
+            above = row
+    if len(cells) != sum(kappa):
+        return 0
+    counts = [0] * len(kappa)
+    filling = [0] * len(cells)
+
+    def fill(i: int) -> int:
+        if i == len(cells):
+            return 1
+        right, up = cells[i]
+        lo = filling[up] + 1 if up >= 0 else 0
+        hi = filling[right] if right >= 0 else len(kappa) - 1
+        total = 0
+        for x in range(lo, hi + 1):
+            if counts[x] < kappa[x] and (x == 0 or counts[x - 1] > counts[x]):
+                counts[x] += 1
+                filling[i] = x
+                total += fill(i + 1)
+                counts[x] -= 1
+        return total
+
+    return fill(0)
 
 
 def skew_restriction(shape: SkewPartition, c: int) -> list[tuple[SkewPartition, SkewPartition]]:

@@ -16,16 +16,18 @@ Two independent evaluators are provided on top of the wreath oracle:
   the lower half deflates at a single c-cycle and the upper half recurses
   where that is non-zero.  A single cycle of length c deflates through
   the c-quotient: the value is 0 unless the lower half is c-decomposable,
-  and otherwise it is the quotient sign times the multiplicity of
-  chi^kappa in the character induced from the quotient components.
+  and otherwise it is the quotient sign times the LR fillings of content
+  kappa of the quotient components (``characters.lr_fillings``).
 
 That single-cycle step is written once, in ``_single_cycle``, which reads
 the abacus once per skew character of the lower half: its memo keys on
 ``_skew_key``, the character's connected components, each unchanged by
 translation and a 180 degree rotation (Macdonald, I.5), and it computes
 on one representative shape.  ``_recursive`` keys its memo on the upper
-half as a skew shape.  ``farahat_check`` shares the quotient step, and
-``ncycle_vanishing`` is the step itself on a straight shape.
+half as the plain pair (outer, tau), tau as ``intermediates`` returns it,
+so no waistline is validated again.  ``farahat_check`` shares the
+quotient step, and ``ncycle_vanishing`` is the step itself on a straight
+shape.
 
 ``defres_sign`` and ``defres_degree`` are the closed forms for the sign
 character and the degree.
@@ -34,19 +36,12 @@ character and the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import zip_longest
 
 from .abacus import is_n_decomposable, n_quotient
 from .borderstrips import a_coefficient, mn_value
-from .characters import (
-    ClassFunction,
-    _induced,
-    _multiplicity,
-    irreducible_character,
-    lr_coefficient,
-    skew_character,
-)
+from .characters import _induced, lr_coefficient, lr_fillings, skew_character
 from .partitions import Composition, Partition, SkewPartition, intermediates, stretch
 
 
@@ -87,14 +82,6 @@ def defres_theorem(query: DeflationQuery) -> int:
     if query.theta != Partition((query.m,)):
         raise ValueError("defres_theorem requires the trivial deflating character")
     return a_coefficient(query.shape, query.m, query.gamma)
-
-
-def _quotient_characters(
-    shape: SkewPartition, c: int
-) -> tuple[int, tuple[ClassFunction, ...]]:
-    # the quotient sign and component skew characters of a c-decomposable shape
-    quotient = n_quotient(shape, c)
-    return quotient.sign, tuple(skew_character(comp) for comp in quotient.components)
 
 
 def _skew_key(outer, inner) -> tuple:
@@ -145,24 +132,24 @@ def _single_cycle(key: tuple, c: int, kappa: tuple[int, ...]) -> int:
     shape = _stacked(key)
     if not is_n_decomposable(shape, c):
         return 0
-    sign, thetas = _quotient_characters(shape, c)
-    chi = irreducible_character(kappa)
-    return sign * _multiplicity(chi, partial(_induced, thetas))
+    quotient = n_quotient(shape, c)
+    return quotient.sign * lr_fillings(quotient.components, kappa)
 
 
 @cache
 def _recursive(
     shape: SkewPartition, m: int, kappa: tuple[int, ...], gamma: tuple[int, ...]
 ) -> int:
+    # shape is a skew shape or the equal plain pair (outer, inner)
+    outer, inner = shape
     if not gamma:
-        return 1 if shape.outer == shape.inner else 0
+        return 1 if outer == inner else 0
     c = gamma[0]
     total = 0
     for tau in intermediates(shape, m * c):
-        base = _single_cycle(_skew_key(tau, shape.inner), c, kappa)
+        base = _single_cycle(_skew_key(tau, inner), c, kappa)
         if base:
-            upper = SkewPartition(shape.outer, tau)
-            total += base * _recursive(upper, m, kappa, gamma[1:])
+            total += base * _recursive((outer, tau), m, kappa, gamma[1:])
     return total
 
 
@@ -190,8 +177,9 @@ def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:
     lhs = mn_value(shape, stretch(alpha, n))
     if not is_n_decomposable(shape, n):
         return lhs, 0
-    sign, thetas = _quotient_characters(shape, n)
-    return lhs, sign * _induced(thetas, alpha)
+    quotient = n_quotient(shape, n)
+    thetas = tuple(skew_character(comp) for comp in quotient.components)
+    return lhs, quotient.sign * _induced(thetas, alpha)
 
 
 def defres_sign(query: DeflationQuery) -> int:

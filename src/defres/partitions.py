@@ -221,14 +221,15 @@ def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
     """Partitions tau with inner <= tau <= outer and |tau| = |inner| + c.
 
     Listed in descending lexicographic order.  Used to split a skew shape
-    into a lower and an upper half along every possible waistline.
+    into a lower and an upper half along every possible waistline.  The
+    shape may also be the equal plain pair of partitions (outer, inner).
     """
-    if c < 0 or c > shape.size:
+    outer, inner = shape
+    target = sum(inner) + c
+    if c < 0 or target > sum(outer):
         return []
-    outer = shape.outer
     rows = len(outer)
-    inner = tuple(shape.inner.part(i + 1) for i in range(rows))
-    target = shape.inner.size + c
+    inner = tuple(inner) + (0,) * (rows - len(inner))
     # min_tail[i] / max_tail[i]: attainable totals from rows i..rows-1
     min_tail = [0] * (rows + 1)
     max_tail = [0] * (rows + 1)
@@ -241,7 +242,8 @@ def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
         if total + min_tail[i] > target or total + max_tail[i] < target:
             return
         if i == rows:
-            found.append(Partition(acc))
+            # a partition inside outer already: drop the empty rows only
+            found.append(tuple.__new__(Partition, filter(None, acc)))
             return
         hi = min(outer[i], prev)
         for part in range(hi, inner[i] - 1, -1):

@@ -21,6 +21,7 @@ from defres import (
     skew_restriction,
     skew_shapes,
 )
+from defres.characters import lr_fillings
 from defres.perms import (
     all_permutations,
     compose,
@@ -290,6 +291,68 @@ class TestLrCoefficient:
                     skew_character(shape), irreducible_character(nu)
                 )
                 assert lr_coefficient(shape.outer, (shape.inner, nu)) == want
+
+
+def stacked(comps, overlap=0):
+    # one skew shape holding the components, each further up and to the
+    # right; overlap 0 stacks them corner to corner, overlap 1 shifts each
+    # one column back over the components below it
+    outer, inner, offset = [], [], 0
+    for comp in reversed(comps):
+        rows = len(comp.outer)
+        outer[:0] = [offset + p for p in comp.outer]
+        inner[:0] = [offset + comp.inner.part(r) for r in range(1, rows + 1)]
+        offset += comp.outer.part(1) - overlap if rows else 0
+    return SkewPartition(outer, inner)
+
+
+class TestLrFillings:
+    # every tuple of 1-3 skew shapes of total size r <= 6, inner sizes at
+    # most 1; the pool holds the empty shape and the size-0 shape 1/1
+    POOL = [s for size in range(7) for s in skew_shapes(size, 1)]
+
+    def cases(self):
+        for k in (1, 2, 3):
+            for comps in itertools.combinations_with_replacement(self.POOL, k):
+                r = sum(s.size for s in comps)
+                if r > 6:
+                    continue
+                thetas = [skew_character(s) for s in comps]
+                induced = ClassFunction(
+                    r, {a: induced_value(thetas, a) for a in partitions_of(r)}
+                )
+                for kappa in partitions_of(r):
+                    want = inner_product(irreducible_character(kappa), induced)
+                    yield comps, kappa, want
+
+    def test_matches_class_table(self):
+        count = 0
+        for comps, kappa, want in self.cases():
+            assert lr_fillings(comps, kappa) == want, (comps, kappa)
+            assert lr_fillings([stacked(comps)], kappa) == want, (comps, kappa)
+            count += 1
+        assert count == 13693
+
+    def test_components_sharing_an_edge_fail(self):
+        # negative control: glued components are one connected shape, and
+        # the class table tells them apart
+        wrong = 0
+        for comps, kappa, want in self.cases():
+            try:
+                glued = stacked(comps, overlap=1)
+            except ValueError:  # the shifted rows are no skew shape
+                continue
+            wrong += lr_fillings([glued], kappa) != want
+        assert wrong > 0
+        one = SkewPartition((1,))
+        assert lr_fillings([one, one], (2,)) == 1
+        assert lr_fillings([stacked([one, one], overlap=1)], (2,)) == 0
+
+    def test_sizes_and_empty_shapes(self):
+        assert lr_fillings([], ()) == 1
+        assert lr_fillings([((), ()), ((2, 1), (2, 1))], ()) == 1
+        assert lr_fillings([((2,), ())], (1,)) == 0
+        assert lr_fillings([((1,), ())], (1, 1)) == 0
 
 
 class TestSkewRestriction:

@@ -15,9 +15,13 @@ from defres import (
     defres_sign,
     defres_theorem,
     farahat_check,
+    induced_value,
+    inner_product,
     irreducible_character,
+    is_n_decomposable,
     mn_value,
     n_core,
+    n_quotient,
     ncycle_vanishing,
     oracle_defres,
     partitions_of,
@@ -189,6 +193,33 @@ class TestSkewKey:
         dominoes = (((0, 1), (0, 1)), ((0, 2),))
         assert _skew_key((3, 1, 1), (1,)) == _skew_key((3, 3, 2), (2, 2)) == dominoes
         assert _skew_key((3, 3, 3), (2, 2)) == _skew_key((3, 1, 1), ())
+
+
+class TestSingleCycleClassTable:
+    def test_matches_the_induced_character(self):
+        # the single-cycle value against the class-table formula: the
+        # quotient sign times <chi^kappa, Ind(quotient characters)>
+        count = 0
+        for shape in key_sweep():
+            key = _skew_key(*shape)
+            for c in range(2, shape.size + 1):
+                if shape.size % c:
+                    continue
+                r = shape.size // c
+                want = dict.fromkeys(partitions_of(r), 0)
+                if is_n_decomposable(shape, c):
+                    quotient = n_quotient(shape, c)
+                    thetas = [skew_character(comp) for comp in quotient.components]
+                    induced = ClassFunction(
+                        r, {a: induced_value(thetas, a) for a in partitions_of(r)}
+                    )
+                    for kappa in want:
+                        chi = irreducible_character(kappa)
+                        want[kappa] = quotient.sign * inner_product(chi, induced)
+                for kappa, value in want.items():
+                    assert _single_cycle(key, c, kappa) == value, (shape, c, kappa)
+                    count += 1
+        assert count == 3757
 
 
 class TestSingleCycleMemo:

@@ -8,8 +8,10 @@ A border-strip tableau of shape lambda/mu and type gamma is a chain
 where each step li/l(i-1) is a border strip of gamma_i boxes; the boxes of
 that strip carry the label i.  Removing or adding a strip is a single bead
 move on a beta-set, which is how this module manipulates shapes and
-recognises strips.  A tableau is the tuple ``(chain, labels)``, its sign,
-type and strip metadata read off the chain.
+recognises strips.  Two memoised tables list the strips of c boxes that a
+shape loses or gains, each with its height and top row read off the bead
+move; everything below takes a strip's sign and row from them.  A tableau
+is the tuple ``(chain, labels)``, its strip metadata looked up there.
 
 Three derived quantities matter:
 
@@ -17,11 +19,9 @@ Three derived quantities matter:
   tableaux, computed by a memoized one-strip-at-a-time recursion.  This is
   the value of the skew character of shape lambda/mu at cycle type gamma.
 * ``enumerate_m_bst(shape, m, gamma)`` -- tableaux of type gamma with each
-  part repeated m times whose strips, within each block of m equal labels,
-  start on weakly decreasing rows (lower labels start no higher up than
-  later ones... precisely: the topmost occupied rows weakly decrease as
-  the label increases through the block).  ``enumerate_bst`` is its
-  m = 1 case, where the block condition is vacuous.
+  part repeated m times whose topmost occupied rows weakly decrease as the
+  label increases through each block of m equal labels.  ``enumerate_bst``
+  is its m = 1 case, where the block condition is vacuous.
 * ``a_coefficient(shape, m, gamma)`` -- the signed count of those.
 
 The recursion peels the first part of gamma off the inner shape; the
@@ -31,6 +31,7 @@ independent routes to the same numbers, which the tests exploit.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from functools import cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -58,39 +59,37 @@ def _partition_of_betas(betas) -> tuple[int, ...]:
     return t
 
 
-@cache
-def _strip_removals(nu: tuple[int, ...], c: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions obtained from nu by removing one border strip of c boxes."""
-    if c <= 0 or not nu:
-        return ()
-    nbeads = len(nu)
-    betas = _beta_set(nu, nbeads)
+_Strips = tuple[tuple[tuple[int, ...], int, int], ...]  # (tau, height, top_row)
+
+
+def _bead_moves(parts: tuple[int, ...], nbeads: int, shift: int) -> _Strips:
+    # each move of one bead `shift` places to an empty position removes
+    # (shift < 0) or adds a strip: its height is the beads jumped over, its
+    # top row 1 plus the beads above the higher end of the move
+    betas = _beta_set(parts, nbeads)
+    asc = sorted(betas)
     out = []
-    for b in betas:
-        if b >= c and (b - c) not in betas:
-            out.append(_partition_of_betas(betas - {b} | {b - c}))
+    for b in asc:
+        t = b + shift
+        if t < 0 or t in betas:
+            continue
+        lo, hi = min(b, t), max(b, t)
+        height = bisect_left(asc, hi) - bisect_right(asc, lo)
+        top_row = nbeads - bisect_right(asc, hi) + 1
+        out.append((_partition_of_betas(betas - {b} | {t}), height, top_row))
     return tuple(sorted(out, reverse=True))
 
 
 @cache
-def _strip_additions(mu: tuple[int, ...], c: int) -> tuple[tuple[int, ...], ...]:
-    """Partitions obtained from mu by adding one border strip of c boxes."""
-    if c <= 0:
-        return ()
-    nbeads = len(mu) + c  # a strip of c boxes adds at most c rows
-    betas = _beta_set(mu, nbeads)
-    out = []
-    for b in betas:
-        if (b + c) not in betas:
-            out.append(_partition_of_betas(betas - {b} | {b + c}))
-    return tuple(sorted(out, reverse=True))
+def _strip_removals(nu: tuple[int, ...], c: int) -> _Strips:
+    """The strips of c boxes that nu loses, tau descending."""
+    return _bead_moves(nu, len(nu), -c) if c > 0 else ()
 
 
-def _diff_rows(nu: tuple[int, ...], tau: tuple[int, ...]) -> tuple[int, ...]:
-    # 0-indexed rows where nu strictly exceeds tau (tau padded with zeros)
-    return tuple(
-        r for r in range(len(nu)) if nu[r] > (tau[r] if r < len(tau) else 0)
-    )
+@cache
+def _strip_additions(mu: tuple[int, ...], c: int) -> _Strips:
+    """The strips of c boxes that mu gains (at most c new rows), tau descending."""
+    return _bead_moves(mu, len(mu) + c, c) if c > 0 else ()
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +102,30 @@ class StripMeta(NamedTuple):
     row_number: int
 
 
+def _strip(hi: tuple[int, ...], lo: tuple[int, ...]) -> StripMeta | None:
+    # the metadata of the strip hi/lo, or None when hi/lo is not a strip
+    c = sum(hi) - sum(lo)
+    for tau, height, top_row in _strip_removals(hi, c):
+        if tau == lo:
+            return StripMeta(c, height, top_row)
+    return None
+
+
 def is_border_strip(shape: SkewPartition) -> bool:
     """True when the skew shape is edge-connected with no 2x2 square.
 
     That is one bead move: the inner shape is the outer one less a strip of
     ``size`` boxes.  The empty shape does not count as a border strip.
     """
-    return shape.inner in _strip_removals(shape.outer, shape.size)
+    return _strip(shape.outer, shape.inner) is not None
 
 
 def strip_meta(shape: SkewPartition) -> StripMeta:
     """Length, height (occupied rows minus one) and topmost occupied row."""
-    return BorderStripTableau(shape[::-1]).metas()[0]  # validates
+    meta = _strip(shape.outer, shape.inner)
+    if meta is None:
+        raise ValueError(f"{shape} is not a border strip")
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +151,8 @@ class BorderStripTableau(tuple):
         if not chain:
             raise ValueError("chain must contain at least the inner shape")
         for lo, hi in zip(chain, chain[1:]):
-            strip = SkewPartition(hi, lo)
-            if not is_border_strip(strip):
-                raise ValueError(f"{strip} is not a border strip")
+            if _strip(hi, lo) is None:
+                raise ValueError(f"{SkewPartition(hi, lo)} is not a border strip")
         k = len(chain) - 1
         if labels is None:
             labels = tuple(range(1, k + 1))
@@ -172,11 +182,7 @@ class BorderStripTableau(tuple):
         ]
 
     def metas(self) -> tuple[StripMeta, ...]:
-        metas = []
-        for lo, hi in zip(self.chain, self.chain[1:]):
-            rows = _diff_rows(hi, lo)
-            metas.append(StripMeta(hi.size - lo.size, len(rows) - 1, rows[0] + 1))
-        return tuple(metas)
+        return tuple(_strip(hi, lo) for lo, hi in zip(self.chain, self.chain[1:]))
 
     @property
     def sign(self) -> int:
@@ -213,10 +219,9 @@ def _mn(
     c = gamma[0]
     total = 0
     # grow the inner shape by one strip of the first remaining length
-    for tau in _strip_additions(inner, c):
+    for tau, height, _ in _strip_additions(inner, c):
         if _contains(outer, tau):
-            rows = _diff_rows(tau, inner)
-            total += (-1) ** (len(rows) - 1) * _mn(outer, tau, gamma[1:])
+            total += (-1) ** height * _mn(outer, tau, gamma[1:])
     return total
 
 
@@ -252,23 +257,21 @@ def _iter_m_chains(
     inner: tuple[int, ...],
     type_: tuple[int, ...],
     m: int,
-    row_floor: int | None,
+    row_floor: int,
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
     # row_floor carries the topmost row of the strip just peeled when that
-    # strip shares a length block with the current label: within a block
-    # the topmost rows must weakly decrease as the label increases.
+    # strip shares a length block with the current label (0 otherwise):
+    # within a block the topmost rows must weakly decrease as the label
+    # increases.
     j = len(type_)
     if j == 0:
         if outer == inner:
             yield (outer,)
         return
-    for tau in _strip_removals(outer, type_[-1]):
-        if not _contains(tau, inner):
+    for tau, _, top_row in _strip_removals(outer, type_[-1]):
+        if top_row < row_floor or not _contains(tau, inner):
             continue
-        top_row = _diff_rows(outer, tau)[0] + 1
-        if row_floor is not None and top_row < row_floor:
-            continue
-        nxt = top_row if (j - 1) % m != 0 else None
+        nxt = top_row if (j - 1) % m != 0 else 0
         for chain in _iter_m_chains(tau, inner, type_[:-1], m, nxt):
             yield chain + (outer,)
 
@@ -282,7 +285,7 @@ def enumerate_m_bst(shape: SkewPartition, m: int, gamma) -> list[BorderStripTabl
     """
     type_ = _m_type(shape, m, gamma)
     chains = sorted(
-        _iter_m_chains(shape.outer, shape.inner, type_, m, None)
+        _iter_m_chains(shape.outer, shape.inner, type_, m, 0)
     )
     return [BorderStripTableau(chain) for chain in chains]
 
@@ -309,15 +312,11 @@ def _a_count(
     if j == 0:
         return 1 if outer == inner else 0
     total = 0
-    for tau in _strip_removals(outer, type_[-1]):
-        if not _contains(tau, inner):
-            continue
-        rows = _diff_rows(outer, tau)
-        top_row = rows[0] + 1
-        if row_floor and top_row < row_floor:
+    for tau, height, top_row in _strip_removals(outer, type_[-1]):
+        if top_row < row_floor or not _contains(tau, inner):
             continue
         nxt = top_row if (j - 1) % m != 0 else 0
-        total += (-1) ** (len(rows) - 1) * _a_count(tau, inner, type_[:-1], m, nxt)
+        total += (-1) ** height * _a_count(tau, inner, type_[:-1], m, nxt)
     return total
 
 

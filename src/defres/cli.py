@@ -11,8 +11,8 @@ Shapes and types use the text grammar of :mod:`defres.partitions`.  With
 keys, so parsing and re-rendering the output is byte-identical.
 
 Exit codes: 0 success, 1 precondition violation (and failed verification,
-and a cycle type too long for the recursion limit), 2 unparsable
-arguments, 3 oracle budget exceeded.
+and an input too deep for the recursion limit), 2 unparsable arguments,
+3 oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -107,11 +107,12 @@ def _cmd_mn(args) -> tuple[str, dict]:
 
 
 def _cmd_tableaux(args) -> tuple[str, dict]:
-    tableaux = enumerate_m_bst(args.shape, args.m, args.gamma)
-    blocks = []
-    for t in tableaux:
-        blocks.append(f"{t.render()}\nsign: {t.sign:+d}")
-    total = sum(t.sign for t in tableaux)
+    tableaux = [
+        (t, t.render(), t.sign)
+        for t in enumerate_m_bst(args.shape, args.m, args.gamma)
+    ]
+    blocks = [f"{grid}\nsign: {sign:+d}" for _, grid, sign in tableaux]
+    total = sum(sign for _, _, sign in tableaux)
     blocks.append(f"tableaux: {len(tableaux)}\nsigned count: {total}")
     payload = {
         "command": "tableaux",
@@ -123,11 +124,11 @@ def _cmd_tableaux(args) -> tuple[str, dict]:
         "tableaux": [
             {
                 "chain": [list(p) for p in t.chain],
-                "grid": t.render(),
+                "grid": grid,
                 "labels": list(t.labels),
-                "sign": t.sign,
+                "sign": sign,
             }
-            for t in tableaux
+            for t, grid, sign in tableaux
         ],
     }
     return "\n\n".join(blocks), payload
@@ -342,11 +343,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the strip recursions go one level deeper per part of the cycle type
-        print(
-            "error: cycle type has too many parts for the recursion limit",
-            file=sys.stderr,
-        )
+        # the strip walks recurse once per part of gamma, the waistlines once
+        # per row, the LR fillings once per cell, induction once per component
+        print("error: input too deep for the recursion limit (one level per "
+              "part, row, cell or quotient component)", file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

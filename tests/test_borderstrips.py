@@ -21,6 +21,8 @@ from defres import (
     strip_meta,
 )
 
+from defres.borderstrips import _strip_additions, _strip_removals
+
 from conftest import skews
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))  # 12 boxes
@@ -59,6 +61,12 @@ def strip_oracle(shape):
             if x in boxes and x not in seen
         )
     return seen == boxes
+
+
+def strip_geometry(shape):
+    """Size, occupied rows minus one and first occupied row, off the boxes."""
+    rows = {r for r, _ in shape.boxes()}
+    return (shape.size, len(rows) - 1, min(rows))
 
 
 def syt_count(shape):
@@ -156,6 +164,27 @@ class TestStripMeta:
         assert strip_meta(SkewPartition((3, 1), (1, 1))) == (2, 0, 1)
         assert strip_meta(SkewPartition((1, 1, 1), (1,))) == (2, 1, 2)
         assert strip_meta(SkewPartition((1,))) == (1, 0, 1)
+
+    def test_matches_box_geometry_exhaustively(self):
+        for size in range(1, 9):
+            for shape in skew_shapes(size, 3):
+                if strip_oracle(shape):
+                    assert strip_meta(shape) == strip_geometry(shape), shape
+
+    def test_tables_match_box_geometry(self):
+        # every entry of both strip tables, partitions of at most 12, c <= 7
+        entries = []
+        for size in range(13):
+            for p in partitions_of(size):
+                for c in range(1, 8):
+                    for tau, height, top_row in _strip_removals(p, c):
+                        entries.append((SkewPartition(p, tau), (c, height, top_row)))
+                    for tau, height, top_row in _strip_additions(p, c):
+                        entries.append((SkewPartition(tau, p), (c, height, top_row)))
+        assert len(entries) == 12_442
+        for strip, meta in entries:
+            assert strip_oracle(strip), strip
+            assert meta == strip_geometry(strip), strip
 
     def test_rejects_non_strips(self):
         with pytest.raises(ValueError):

@@ -355,15 +355,25 @@ class TestDeepGamma:
             ["mn", "--shape", "1200", "--gamma", ONES],
             ["tableaux", "--shape", "1200", "--gamma", ONES],
             ["defres", "--shape", "1200", "--m", "1", "--gamma", ONES],
+            ["defres", "--shape", ONES, "--m", "2", "--theta", "1,1",
+             "--gamma", "600"],
+            ["defres", "--shape", "1200", "--m", "1200", "--theta", "1199,1",
+             "--gamma", "1"],
+            ["farahat", "--shape", "1200", "--n", "1200", "--alpha", "1"],
         ],
-        ids=["mn", "tableaux", "defres"],
+        ids=["mn", "tableaux", "defres", "rows", "cells", "components"],
     )
     def test_recursion_limit_exits_1(self, capsys, argv):
-        # the strip recursions go one level deeper per part of gamma
+        # the strip recursions go one level deeper per part of gamma, the
+        # waistline walk per row, LR filling per cell and induction per
+        # quotient component; none of the last three has a long gamma
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == "error: cycle type has too many parts for the recursion limit\n"
+        assert err == (
+            "error: input too deep for the recursion limit (one level per "
+            "part, row, cell or quotient component)\n"
+        )
 
 
 # argv fuzzing: small or garbled tokens for every command and option

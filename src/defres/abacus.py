@@ -34,9 +34,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .borderstrips import BorderStripTableau, _beta_set, _partition_of_betas
+from .borderstrips import BorderStripTableau
 from .partitions import Partition, SkewPartition
 from .perms import parity
+
+
+def _beta_set(parts: tuple[int, ...], nbeads: int) -> frozenset[int]:
+    # beads at parts[j] + (nbeads - 1 - j); parts padded with zeros
+    assert nbeads >= len(parts)
+    padded = parts + (0,) * (nbeads - len(parts))
+    return frozenset(padded[j] + (nbeads - 1 - j) for j in range(nbeads))
+
+
+def _partition_of_betas(betas) -> tuple[int, ...]:
+    desc = sorted(betas, reverse=True)
+    n = len(desc)
+    t = tuple(desc[j] - (n - 1 - j) for j in range(n))
+    while t and t[-1] == 0:
+        t = t[:-1]
+    return t
 
 
 class AbacusDisplay(tuple):

@@ -7,11 +7,13 @@ A border-strip tableau of shape lambda/mu and type gamma is a chain
 
 where each step li/l(i-1) is a border strip of gamma_i boxes; the boxes of
 that strip carry the label i.  Removing or adding a strip is a single bead
-move on a beta-set, which is how this module manipulates shapes and
-recognises strips.  Two memoised tables list the strips of c boxes that a
-shape loses or gains, each with its height and top row read off the bead
-move; everything below takes a strip's sign and row from them.  A tableau
-is the tuple ``(chain, labels)``, its strip metadata looked up there.
+move on a beta-set: a bead moving c places past h beads gives a strip of
+height h, each part passed moves one row and changes by one box, and the
+moved part moves h rows and changes by c - h.  Two memoised tables list
+the strips of c boxes that a shape loses or gains, each new shape sliced
+out of the parts tuple with the strip's height and top row; everything
+below takes a strip's sign and row from them.  A tableau is the tuple
+``(chain, labels)``, its strip metadata looked up there.
 
 Three derived quantities matter:
 
@@ -31,7 +33,7 @@ independent routes to the same numbers, which the tests exploit.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple
@@ -40,44 +42,46 @@ from .partitions import Composition, Partition, SkewPartition, _contains, repeat
 
 
 # ---------------------------------------------------------------------------
-# beta-set plumbing (tuples in, tuples out; all cached helpers live here)
+# the strip tables
 
 
-def _beta_set(parts: tuple[int, ...], nbeads: int) -> frozenset[int]:
-    # beads at parts[j] + (nbeads - 1 - j); parts padded with zeros
-    assert nbeads >= len(parts)
-    padded = parts + (0,) * (nbeads - len(parts))
-    return frozenset(padded[j] + (nbeads - 1 - j) for j in range(nbeads))
-
-
-def _partition_of_betas(betas) -> tuple[int, ...]:
-    desc = sorted(betas, reverse=True)
-    n = len(desc)
-    t = tuple(desc[j] - (n - 1 - j) for j in range(n))
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
-
-
-_Strips = tuple[tuple[tuple[int, ...], int, int], ...]  # (tau, height, top_row)
+_Strips = tuple[tuple[Partition, int, int], ...]  # (tau, height, top_row)
 
 
 def _bead_moves(parts: tuple[int, ...], nbeads: int, shift: int) -> _Strips:
-    # each move of one bead `shift` places to an empty position removes
-    # (shift < 0) or adds a strip: its height is the beads jumped over, its
-    # top row 1 plus the beads above the higher end of the move
-    betas = _beta_set(parts, nbeads)
-    asc = sorted(betas)
+    # Row r's bead sits at p[r] + nbeads - 1 - r, decreasing down the rows.
+    # Moving it |shift| places to an empty position removes (shift < 0) or
+    # adds a strip whose height is the beads it passes, those of the rows
+    # between r and s, the row it lands in; its top row is min(r, s) + 1 and
+    #   removal   tau = p[:r] + (p[r+1..s] each - 1) + (new,) + p[s+1:]
+    #   addition  tau = p[:s] + (new,) + (p[s..r-1] each + 1) + p[r+1:]
+    # Removals walk the rows up and additions down: tau comes out descending.
+    p = parts + (0,) * (nbeads - len(parts))
+    asc = [part + i for i, part in enumerate(reversed(p))]  # row nbeads-1-i's bead
     out = []
-    for b in asc:
-        t = b + shift
-        if t < 0 or t in betas:
-            continue
-        lo, hi = min(b, t), max(b, t)
-        height = bisect_left(asc, hi) - bisect_right(asc, lo)
-        top_row = nbeads - bisect_right(asc, hi) + 1
-        out.append((_partition_of_betas(betas - {b} | {t}), height, top_row))
-    return tuple(sorted(out, reverse=True))
+    if shift < 0:
+        for r in range(nbeads - 1, -1, -1):
+            t = p[r] + nbeads - 1 - r + shift
+            i = bisect_left(asc, t)
+            if t < 0 or asc[i] == t:
+                continue
+            s = nbeads - 1 - i  # the last row whose bead lies above t
+            new = p[r] + shift + s - r
+            tau = p[:r] + tuple(x - 1 for x in p[r + 1 : s + 1]) + (new,) + p[s + 1 :]
+            if not new:  # s is the last row: cut the emptied rows
+                tau = tau[: tau.index(0)]
+            out.append((tuple.__new__(Partition, tau), s - r, r + 1))
+    else:
+        for r in range(nbeads):
+            t = p[r] + nbeads - 1 - r + shift
+            i = bisect_left(asc, t)
+            if i < nbeads and asc[i] == t:
+                continue
+            s = nbeads - i  # the first row whose bead lies below t
+            new = p[r] + shift + s - r
+            tau = p[:s] + (new,) + tuple(x + 1 for x in p[s:r]) + parts[r + 1 :]
+            out.append((tuple.__new__(Partition, tau), r - s, s + 1))
+    return tuple(out)
 
 
 @cache

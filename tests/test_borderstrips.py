@@ -1,4 +1,5 @@
 import itertools
+import time
 from functools import cache
 
 import pytest
@@ -193,6 +194,32 @@ class TestStripMeta:
             strip_meta(SkewPartition((3, 1), (3, 1)))
 
 
+class TestStripTables:
+    def test_each_key_lists_exactly_its_strips(self):
+        # brute force over the partitions of the other size, for every
+        # partition of at most 10 and c <= 6: each strip once, tau descending
+        for size in range(11):
+            for p in partitions_of(size):
+                for c in range(1, 7):
+                    smaller = partitions_of(size - c) if c <= size else []
+                    expected = [
+                        tau
+                        for tau in smaller
+                        if p.contains(tau) and strip_oracle(SkewPartition(p, tau))
+                    ]
+                    got = [tau for tau, _, _ in _strip_removals(p, c)]
+                    assert got == sorted(set(expected), reverse=True), (p, c)
+                    expected = [
+                        tau
+                        for tau in partitions_of(size + c)
+                        if tau.contains(p) and strip_oracle(SkewPartition(tau, p))
+                    ]
+                    added = [tau for tau, _, _ in _strip_additions(p, c)]
+                    assert added == sorted(set(expected), reverse=True), (p, c)
+                    for tau in got + added:
+                        assert type(tau) is Partition and 0 not in tau, (p, c, tau)
+
+
 # --- tableaux ----------------------------------------------------------------
 
 
@@ -311,6 +338,14 @@ class TestMnValue:
             base = mn_value(shape, gamma)
             for perm in set(itertools.permutations(gamma.parts)):
                 assert mn_value(shape, Composition(perm)) == base
+
+    def test_single_long_strip(self):
+        # one strip of 2,000 boxes, a row and a column, each from a cold table
+        for shape, value in (((2000,), 1), ((1,) * 2000, -1)):
+            _strip_additions.cache_clear()
+            start = time.perf_counter()
+            assert mn_value(SkewPartition(shape), (2000,)) == value
+            assert time.perf_counter() - start < 10
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -4,16 +4,17 @@ A class function on S_r is the tuple ``(r, values)``, its integers listed
 over the partitions of r in ``partitions_of`` order.  Skew characters are
 obtained from the signed strip-count recursion in
 :mod:`defres.borderstrips`, and an irreducible character is the skew
-character of a straight shape.  Induction from a Young subgroup
-S_l0 x S_l1 x ... is evaluated directly by distributing whole cycles over
-the factors, which keeps everything in integer arithmetic.
+character of a straight shape.
 
-``induced_value`` implements the standard formula: a permutation g fixes a
-coset of the Young subgroup exactly when its cycles can be split between
-the factors, each factor receiving full cycles whose lengths sum to its
-degree, and each such split contributes the product of the factor
-characters at the cycle types it received, weighted by the number of ways
-to pick which cycles of each length go where.
+``induced_value`` induces from a Young subgroup S_l0 x S_l1 x ... by the
+standard formula, in integers: a permutation g fixes a coset exactly when
+its cycles can be split between the factors, each factor receiving whole
+cycles whose lengths sum to its degree, and each split contributes the
+product of the factor characters at the cycle types they received, times
+the number of ways to pick which cycles of each length go where.  One loop
+over the factors carries the summed weight of each multiset of cycles not
+yet placed: a factor takes every sub-multiset whose lengths sum to its
+degree, and equal leftovers merge, so nothing recurses per factor.
 
 ``lr_fillings`` takes the multiplicity of an irreducible in a product of
 skew characters by counting Littlewood-Richardson fillings, in integers
@@ -125,50 +126,31 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
 
 @cache
 def _induced(thetas: tuple[ClassFunction, ...], alpha: tuple[int, ...]) -> int:
-    rows = [th.degree for th in thetas]
-    nrows = len(rows)
-    items = sorted(Counter(alpha).items(), reverse=True)
-    caps = rows[:]
-    types: list[list[int]] = [[] for _ in range(nrows)]
-    total = 0
+    # the weight of each multiset of cycles not yet placed, factor by factor
+    left = {alpha: 1}
+    for th in thetas:
+        placed: dict[tuple[int, ...], int] = {}
+        for cycles, weight in left.items():
+            for taken, kept, ways in _splits(cycles, th.degree):
+                value = th(taken)
+                if value:
+                    placed[kept] = placed.get(kept, 0) + weight * ways * value
+        left = placed
+    return left.get((), 0)
 
-    def leaf(weight: int) -> int:
-        if any(c != 0 for c in caps):
-            return 0
-        v = weight
-        for th, tp in zip(thetas, types):
-            if v == 0:
-                break
-            v *= th(tuple(sorted(tp, reverse=True)))
-        return v
 
-    def place(idx: int, weight: int) -> None:
-        nonlocal total
-        if idx == len(items):
-            total += leaf(weight)
-            return
-        length, count = items[idx]
-
-        def spread(i: int, remaining: int, w: int) -> None:
-            if i == nrows - 1:
-                if remaining * length <= caps[i]:
-                    caps[i] -= remaining * length
-                    types[i].extend([length] * remaining)
-                    place(idx + 1, w)
-                    del types[i][len(types[i]) - remaining :]
-                    caps[i] += remaining * length
-                return
-            for k in range(min(remaining, caps[i] // length) + 1):
-                caps[i] -= k * length
-                types[i].extend([length] * k)
-                spread(i + 1, remaining - k, w * comb(remaining, k))
-                del types[i][len(types[i]) - k :]
-                caps[i] += k * length
-
-        spread(0, count, weight)
-
-    place(0, 1)
-    return total
+def _splits(cycles: tuple[int, ...], d: int) -> list[tuple[tuple, tuple, int]]:
+    # (taken, kept, ways): each sub-multiset of the descending cycle lengths
+    # summing to d, the rest, and the number of ways to pick the taken cycles
+    partial = [((), (), 0, 1)]
+    for length, count in Counter(cycles).items():
+        partial = [
+            (taken + (length,) * k, kept + (length,) * (count - k),
+             size + k * length, ways * comb(count, k))
+            for taken, kept, size, ways in partial
+            for k in range(min(count, (d - size) // length) + 1)
+        ]
+    return [(taken, kept, ways) for taken, kept, size, ways in partial if size == d]
 
 
 def induced_value(thetas, alpha) -> int:

@@ -11,8 +11,9 @@ Shapes and types use the text grammar of :mod:`defres.partitions`.  With
 keys, so parsing and re-rendering the output is byte-identical.
 
 Exit codes: 0 success, 1 precondition violation (and failed verification,
-and an input too deep for the recursion limit), 2 unparsable arguments,
-3 oracle budget exceeded.
+and an input too deep for the recursion limit: one level per part of gamma,
+row of the shape or cell of the quotient), 2 unparsable arguments, 3 oracle
+budget exceeded.
 """
 
 from __future__ import annotations
@@ -55,6 +56,19 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _evaluate(query: DeflationQuery, evaluator: str, budget: int = DEFAULT_BUDGET) -> int:
+    if evaluator == "tableau":
+        return defres_theorem(query)
+    if evaluator == "sign":
+        return defres_sign(query)
+    if evaluator == "recursive":
+        return defres_recursive(query)
+    theta = irreducible_character(query.theta)
+    g = with_cycle_type(query.gamma, query.n)
+    naive = evaluator == "oracle-naive"
+    return oracle_defres(query.shape, theta, query.n, g, budget=budget, naive=naive)
+
+
 def _cmd_defres(args) -> tuple[str, dict]:
     shape: SkewPartition = args.shape
     if args.m < 1:
@@ -67,20 +81,7 @@ def _cmd_defres(args) -> tuple[str, dict]:
     evaluator = args.evaluator
     if evaluator == "auto":
         evaluator = "tableau" if theta == Partition((args.m,)) else "recursive"
-    if evaluator == "tableau":
-        value = defres_theorem(query)
-    elif evaluator == "recursive":
-        value = defres_recursive(query)
-    else:
-        g = with_cycle_type(args.gamma, n)
-        value = oracle_defres(
-            shape,
-            irreducible_character(theta),
-            n,
-            g,
-            budget=args.budget,
-            naive=(evaluator == "oracle-naive"),
-        )
+    value = _evaluate(query, evaluator, args.budget)
     text = f"value: {value}\nevaluator: {evaluator}"
     payload = {
         "command": "defres",
@@ -176,46 +177,31 @@ def _cmd_farahat(args) -> tuple[str, dict]:
     return text, payload
 
 
-def _verify_instance(shape, m, n, mode, theta, gamma) -> tuple[int, int]:
-    query = DeflationQuery(shape, m, n, theta, Composition(gamma))
-    if mode == "trivial":
-        claimed = defres_theorem(query)
-    elif mode == "sign":
-        claimed = defres_sign(query)
-    else:
-        claimed = defres_recursive(query)
-    g = with_cycle_type(gamma, n)
-    expected = oracle_defres(shape, irreducible_character(theta), n, g)
-    return claimed, expected
-
-
 def _cmd_verify(args) -> tuple[str, dict]:
-    modes: list[tuple[str, Partition | None]]
-    if args.theta is None:
-        modes = [("trivial", None), ("sign", None)]
-    elif args.theta in ("trivial", "sign"):
-        modes = [(args.theta, None)]
-    else:
-        kappa = Partition.parse(args.theta)
-        modes = [("general", kappa)]
+    # each deflating character swept, and the evaluator checked on it
+    modes: dict = {"trivial": "tableau", "sign": "sign"}
+    if args.theta in modes:
+        modes = {args.theta: modes[args.theta]}
+    elif args.theta is not None:
+        modes = {Partition.parse(args.theta): "recursive"}
     cells = []
     failures = []
     for m in range(2, args.max_size + 1):
         for n in range(2, args.max_size + 1):
             if m * n > args.max_size:
                 continue
-            for mode, kappa in modes:
-                if mode == "general" and kappa.size != m:
+            for label, evaluator in modes.items():
+                theta = label if evaluator == "recursive" else _resolve_theta(label, m)
+                if theta.size != m:
                     continue
-                theta = kappa if mode == "general" else _resolve_theta(mode, m)
                 start = time.perf_counter()
                 instances = 0
                 cell_failures = 0
                 for shape in skew_shapes(m * n, args.inner_max):
                     for gamma in partitions_of(n):
-                        claimed, expected = _verify_instance(
-                            shape, m, n, mode, theta, gamma
-                        )
+                        query = DeflationQuery(shape, m, n, theta, gamma)
+                        claimed = _evaluate(query, evaluator)
+                        expected = _evaluate(query, "oracle")
                         instances += 1
                         if claimed != expected:
                             cell_failures += 1
@@ -231,7 +217,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
                         "m": m,
                         "n": n,
                         "seconds": time.perf_counter() - start,
-                        "theta": mode if mode != "general" else str(kappa),
+                        "theta": str(label),
                     }
                 )
     if not cells:
@@ -344,9 +330,9 @@ def main(argv=None) -> int:
         return 3
     except RecursionError:
         # the strip walks recurse once per part of gamma, the waistlines once
-        # per row, the LR fillings once per cell, induction once per component
+        # per row and the LR fillings once per cell
         print("error: input too deep for the recursion limit (one level per "
-              "part, row, cell or quotient component)", file=sys.stderr)
+              "part, row or cell)", file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -30,15 +30,19 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycle decomposition in order of smallest element; fixed points included."""
-    seen = [False] * len(p)
+    n = len(p)
+    seen = [False] * n
     out = []
-    for start in range(len(p)):
+    for start in range(n):
         if seen[start]:
             continue
         cyc = [start]
         seen[start] = True
         nxt = p[start]
         while nxt != start:
+            # an image out of range, or repeated before the cycle closes
+            if not 0 <= nxt < n or seen[nxt]:
+                raise ValueError(f"{p} is not a permutation of 0..{n - 1}")
             seen[nxt] = True
             cyc.append(nxt)
             nxt = p[nxt]

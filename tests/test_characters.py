@@ -224,7 +224,7 @@ class TestInducedValue:
 
     def test_matches_conjugation_average(self):
         for r in range(2, 6):
-            for degrees in compositions_of(r, 3):
+            for degrees in compositions_of(r, 4):
                 if len(degrees) == 1:
                     continue
                 label_choices = [partitions_of(d) for d in degrees]
@@ -234,6 +234,28 @@ class TestInducedValue:
                         assert induced_value(thetas, alpha) == induced_oracle(
                             thetas, alpha
                         ), (degrees, labels, alpha)
+
+    def test_degree_zero_factors_match_conjugation_average(self):
+        # a factor on S_0 takes no cycles and scales the value by theta(())
+        double = ClassFunction(0, {(): 2})
+        for r in range(0, 5):
+            for k in range(1, 5):
+                for degrees in itertools.product(range(r + 1), repeat=k):
+                    if sum(degrees) != r or 0 not in degrees:
+                        continue
+                    for labels in itertools.product(*map(partitions_of, degrees)):
+                        thetas = tuple(
+                            irreducible_character(l) if l else double for l in labels
+                        )
+                        for alpha in partitions_of(r):
+                            assert induced_value(thetas, alpha) == induced_oracle(
+                                thetas, alpha
+                            ), (degrees, labels, alpha)
+
+    def test_thousands_of_factors(self):
+        # one loop over the factors: 3000 of them need no recursion depth
+        thetas = (ClassFunction.trivial(1),) * 3000
+        assert induced_value(thetas, (1,) * 3000) == factorial(3000)
 
     def test_young_rule_fixture(self):
         # Ind from S_1 x S_1 x S_1 of trivials is the regular-like character

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -359,21 +361,27 @@ class TestDeepGamma:
              "--gamma", "600"],
             ["defres", "--shape", "1200", "--m", "1200", "--theta", "1199,1",
              "--gamma", "1"],
-            ["farahat", "--shape", "1200", "--n", "1200", "--alpha", "1"],
         ],
-        ids=["mn", "tableaux", "defres", "rows", "cells", "components"],
+        ids=["mn", "tableaux", "defres", "rows", "cells"],
     )
     def test_recursion_limit_exits_1(self, capsys, argv):
         # the strip recursions go one level deeper per part of gamma, the
-        # waistline walk per row, LR filling per cell and induction per
-        # quotient component; none of the last three has a long gamma
+        # waistline walk per row and LR filling per cell; neither of the
+        # last two has a long gamma
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == (
             "error: input too deep for the recursion limit (one level per "
-            "part, row, cell or quotient component)\n"
+            "part, row or cell)\n"
         )
+
+    def test_many_quotient_components_evaluate(self, capsys):
+        # induction loops over the 1200 quotient components, one level in all
+        code, out, err = run(
+            capsys, "farahat", "--shape", "1200", "--n", "1200", "--alpha", "1"
+        )
+        assert (code, out, err) == (0, "lhs: 1\nrhs: 1\nagree: true\n", "")
 
 
 # argv fuzzing: small or garbled tokens for every command and option
@@ -467,3 +475,26 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+# every "$ defres ..." line in a README.md code block, and the lines below it
+# up to the next command or the end of the block
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+EXAMPLES = re.findall(r"^\$ defres (.*)\n((?:(?!\$ |```).*\n)*)", README, re.M)
+
+
+class TestReadme:
+    def test_every_subcommand_has_an_example(self):
+        commands = {shlex.split(command)[0] for command, _ in EXAMPLES}
+        assert commands == {"defres", "mn", "tableaux", "quotient", "farahat", "verify"}
+
+    @pytest.mark.parametrize(
+        "command, shown", EXAMPLES, ids=[command for command, _ in EXAMPLES]
+    )
+    def test_example_output_is_exact(self, capsys, command, shown):
+        code, out, err = run(capsys, *shlex.split(command))
+        assert (code, err) == (0, "")
+        if command.startswith("verify"):  # per-cell wall time varies
+            seconds = re.compile(r"\d+\.\d{3} s$", re.M)
+            out, shown = seconds.sub("- s", out), seconds.sub("- s", shown)
+        assert out == shown.rstrip("\n") + "\n"

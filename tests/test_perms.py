@@ -61,6 +61,15 @@ class TestCycles:
         assert cycles((1, 2, 0)) == [(0, 1, 2)]
         assert cycles(()) == []
 
+    @pytest.mark.parametrize(
+        "p", [(1, 1, 0), (5, 0), (0, 0), (-1, 0)], ids=["repeat", "high", "fixed", "low"]
+    )
+    def test_not_a_permutation(self, p):
+        # a repeated image closed no cycle and looped for ever; an image out
+        # of range raised IndexError, or for a negative one read another point
+        with pytest.raises(ValueError, match="not a permutation"):
+            cycles(p)
+
     def test_cycle_type(self):
         assert cycle_type_of((1, 0, 3, 2, 4)) == Partition((2, 2, 1))
         assert cycle_type_of(identity(5)) == Partition((1,) * 5)

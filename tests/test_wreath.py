@@ -41,6 +41,12 @@ class TestWreathElement:
         with pytest.raises(ValueError):
             WreathElement(((0, 1), (0,)), (0, 1))  # mixed base sizes
 
+    def test_top_not_a_permutation(self):
+        w = WreathElement(((0, 1), (1, 0)), (1, 1))
+        for f in (cycle_products, cycle_type):
+            with pytest.raises(ValueError, match="not a permutation"):
+                f(w)
+
     def test_frozen(self):
         w = WreathElement(((0, 1),), (0,))
         with pytest.raises(AttributeError):
@@ -160,6 +166,13 @@ class TestOracleDefres:
             oracle_defres(SkewPartition((2, 2)), theta, 2, (0,))
         with pytest.raises(ValueError):
             oracle_defres(SkewPartition((2, 2, 1)), theta, 2, (0, 1))
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_top_not_a_permutation(self, naive):
+        # g = (0, 0) has the right length but no cycle through point 1
+        theta = irreducible_character((2,))
+        with pytest.raises(ValueError, match="not a permutation"):
+            oracle_defres(SkewPartition((2, 2)), theta, 2, (0, 0), naive=naive)
 
     def test_budget(self):
         theta = ClassFunction.trivial(3)

@@ -12,7 +12,7 @@ height h, each part passed moves one row and changes by one box, and the
 moved part moves h rows and changes by c - h.  Two memoised tables list
 the strips of c boxes that a shape loses or gains, each new shape sliced
 out of the parts tuple with the strip's height and top row; everything
-below takes a strip's sign and row from them.  A tableau is the tuple
+below reads a strip's sign and row from the first.  A tableau is the tuple
 ``(chain, labels)``, its strip metadata looked up there.
 
 Three derived quantities matter:
@@ -26,9 +26,9 @@ Three derived quantities matter:
   is its m = 1 case, where the block condition is vacuous.
 * ``a_coefficient(shape, m, gamma)`` -- the signed count of those.
 
-The recursion peels the first part of gamma off the inner shape; the
-enumerations peel the last label off the outer shape.  The two orders give
-independent routes to the same numbers, which the tests exploit.
+Both walks peel strips off the outer shape: ``mn_value`` has no row floor
+and takes gamma's first part first, the largest wherever the library calls
+it; the enumerations take the last label first, an independent order.
 """
 
 from __future__ import annotations
@@ -220,12 +220,10 @@ def _mn(
 ) -> int:
     if not gamma:
         return 1 if outer == inner else 0
-    c = gamma[0]
     total = 0
-    # grow the inner shape by one strip of the first remaining length
-    for tau, height, _ in _strip_additions(inner, c):
-        if _contains(outer, tau):
-            total += (-1) ** height * _mn(outer, tau, gamma[1:])
+    for tau, height, _ in _strip_removals(outer, gamma[0]):
+        if _contains(tau, inner):
+            total += (-1) ** height * _mn(tau, inner, gamma[1:])
     return total
 
 

@@ -52,6 +52,8 @@ class WreathElement:
             raise ValueError("need one base permutation per top point")
         if self.base and len({len(h) for h in self.base}) != 1:
             raise ValueError("base permutations must act on a common set")
+        if any(sorted(p) != list(range(len(p))) for p in (self.top, *self.base)):
+            raise ValueError(f"a base or top tuple of {self} is not a permutation")
 
 
 def to_permutation(w: WreathElement, m: int, n: int) -> tuple[int, ...]:

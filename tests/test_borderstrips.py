@@ -22,7 +22,7 @@ from defres import (
     strip_meta,
 )
 
-from defres.borderstrips import _strip_additions, _strip_removals
+from defres.borderstrips import _a_count, _mn, _strip_additions, _strip_removals
 
 from conftest import skews
 
@@ -342,7 +342,8 @@ class TestMnValue:
     def test_single_long_strip(self):
         # one strip of 2,000 boxes, a row and a column, each from a cold table
         for shape, value in (((2000,), 1), ((1,) * 2000, -1)):
-            _strip_additions.cache_clear()
+            _strip_removals.cache_clear()
+            _mn.cache_clear()
             start = time.perf_counter()
             assert mn_value(SkewPartition(shape), (2000,)) == value
             assert time.perf_counter() - start < 10
@@ -350,6 +351,20 @@ class TestMnValue:
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             mn_value(SkewPartition((3,)), Composition((2,)))
+
+    def test_reads_only_the_removal_table(self):
+        # the recursion peels strips off the outer shape: a single long strip
+        # is one entry of one removal table, and no addition table is built
+        for memo in (_strip_removals, _strip_additions, _mn, _a_count):
+            memo.cache_clear()
+        assert mn_value(SkewPartition((4000,)), (4000,)) == 1
+        assert _strip_additions.cache_info().currsize == 0
+        assert len(_strip_removals((4000,), 4000)) == 1
+        for size in range(0, 9):
+            for shape in skew_shapes(size, 2):
+                for gamma in partitions_of(size):
+                    mn_value(shape, gamma)
+        assert _strip_additions.cache_info().currsize == 0
 
 
 class TestEnumerateMBst:

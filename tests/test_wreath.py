@@ -42,10 +42,16 @@ class TestWreathElement:
             WreathElement(((0, 1), (0,)), (0, 1))  # mixed base sizes
 
     def test_top_not_a_permutation(self):
-        w = WreathElement(((0, 1), (1, 0)), (1, 1))
-        for f in (cycle_products, cycle_type):
+        for top in ((1, 1), (0, 2), (-1, 0)):
             with pytest.raises(ValueError, match="not a permutation"):
-                f(w)
+                WreathElement(((0, 1), (1, 0)), top)
+
+    def test_base_not_a_permutation(self):
+        for bad in ((0, 0), (1, 2), (0, -1)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                WreathElement((bad, (1, 0)), (1, 0))
+            with pytest.raises(ValueError, match="not a permutation"):
+                WreathElement(((1, 0), bad), (0, 1))
 
     def test_frozen(self):
         w = WreathElement(((0, 1),), (0,))

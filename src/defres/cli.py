@@ -11,9 +11,8 @@ Shapes and types use the text grammar of :mod:`defres.partitions`.  With
 keys, so parsing and re-rendering the output is byte-identical.
 
 Exit codes: 0 success, 1 precondition violation (and failed verification,
-and an input too deep for the recursion limit: one level per part of gamma,
-row of the shape or cell of the quotient), 2 unparsable arguments, 3 oracle
-budget exceeded.
+and an input too deep for the recursion limit: one level per part of gamma
+or cell of the quotient), 2 unparsable arguments, 3 oracle budget exceeded.
 """
 
 from __future__ import annotations
@@ -329,10 +328,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except RecursionError:
-        # the strip walks recurse once per part of gamma, the waistlines once
-        # per row and the LR fillings once per cell
+        # the strip walks recurse once per part of gamma and the LR fillings
+        # once per cell
         print("error: input too deep for the recursion limit (one level per "
-              "part, row or cell)", file=sys.stderr)
+              "part or cell)", file=sys.stderr)
         return 1
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))

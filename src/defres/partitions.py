@@ -228,31 +228,23 @@ def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
     target = sum(inner) + c
     if c < 0 or target > sum(outer):
         return []
-    rows = len(outer)
-    inner = tuple(inner) + (0,) * (rows - len(inner))
-    # min_tail[i] / max_tail[i]: attainable totals from rows i..rows-1
-    min_tail = [0] * (rows + 1)
-    max_tail = [0] * (rows + 1)
-    for i in range(rows - 1, -1, -1):
-        min_tail[i] = min_tail[i + 1] + inner[i]
-        max_tail[i] = max_tail[i + 1] + outer[i]
-    found: list[Partition] = []
-
-    def rec(i: int, prev: int, total: int, acc: list[int]) -> None:
-        if total + min_tail[i] > target or total + max_tail[i] < target:
-            return
-        if i == rows:
-            # a partition inside outer already: drop the empty rows only
-            found.append(tuple.__new__(Partition, filter(None, acc)))
-            return
-        hi = min(outer[i], prev)
-        for part in range(hi, inner[i] - 1, -1):
-            acc.append(part)
-            rec(i + 1, part, total + part, acc)
-            acc.pop()
-
-    rec(0, outer[0] if rows else 0, 0, [])
-    return found
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    # prefixes row by row, in descending lexicographic order, with their
+    # sizes; a prefix stays while the rows below can still bring it to the
+    # target: each holds inner's boxes and at most its own part
+    low, high = sum(inner), sum(outer)
+    found = [((), 0)]
+    for i, (lo, hi) in enumerate(zip(inner, outer)):
+        low, high = low - lo, high - hi
+        rows_below = len(outer) - 1 - i
+        found = [
+            (prefix + (part,), size + part)
+            for prefix, size in found
+            for part in range(min(hi, prefix[-1]) if prefix else hi, lo - 1, -1)
+            if low <= target - size - part <= min(high, rows_below * part)
+        ]
+    # a partition inside outer already: drop the empty rows only
+    return [tuple.__new__(Partition, filter(None, prefix)) for prefix, _ in found]
 
 
 def skew_shapes(total: int, inner_max: int) -> Iterator[SkewPartition]:

@@ -357,24 +357,30 @@ class TestDeepGamma:
             ["mn", "--shape", "1200", "--gamma", ONES],
             ["tableaux", "--shape", "1200", "--gamma", ONES],
             ["defres", "--shape", "1200", "--m", "1", "--gamma", ONES],
-            ["defres", "--shape", ONES, "--m", "2", "--theta", "1,1",
-             "--gamma", "600"],
             ["defres", "--shape", "1200", "--m", "1200", "--theta", "1199,1",
              "--gamma", "1"],
         ],
-        ids=["mn", "tableaux", "defres", "rows", "cells"],
+        ids=["mn", "tableaux", "defres", "cells"],
     )
     def test_recursion_limit_exits_1(self, capsys, argv):
-        # the strip recursions go one level deeper per part of gamma, the
-        # waistline walk per row and LR filling per cell; neither of the
-        # last two has a long gamma
+        # the strip recursions go one level deeper per part of gamma and the
+        # LR fillings per cell; the last case has no long gamma
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == (
             "error: input too deep for the recursion limit (one level per "
-            "part, row or cell)\n"
+            "part or cell)\n"
         )
+
+    def test_many_rows_evaluate(self, capsys):
+        # the waistline walk loops over the 1200 rows, one level in all;
+        # route 1 gives the same value (defres_sign)
+        code, out, err = run(
+            capsys, "defres", "--shape", ONES, "--m", "2", "--theta", "1,1",
+            "--gamma", "600",
+        )
+        assert (code, out, err) == (0, "value: 1\nevaluator: recursive\n", "")
 
     def test_many_quotient_components_evaluate(self, capsys):
         # induction loops over the 1200 quotient components, one level in all

@@ -147,6 +147,22 @@ class TestDefresRecursive:
                     query(shape, m, (m,), gamma)
                 ) == defres_theorem(query(shape, m, (m,), gamma))
 
+    def test_agrees_with_closed_routes_at_m_n_14(self):
+        # route 2 against route 1 on the largest waistline walks in tier-1:
+        # the tableau rule at trivial theta, the sign closed form at sign
+        checked = 0
+        for m, n in ((2, 7), (7, 2)):
+            for shape in skew_shapes(m * n, 1):
+                for gamma in partitions_of(n):
+                    for label, closed in (
+                        ((m,), defres_theorem),
+                        ((1,) * m, defres_sign),
+                    ):
+                        q = query(shape, m, label, gamma)
+                        assert defres_recursive(q) == closed(q), (shape, label, gamma)
+                        checked += 1
+        assert checked == 10574
+
     def test_empty_evaluation_group(self):
         shape = SkewPartition((2, 1), (2, 1))
         assert defres_recursive(query(shape, 3, (2, 1), ())) == 1

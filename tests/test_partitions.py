@@ -4,7 +4,7 @@ import pickle
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 import hypothesis.strategies as st
 
 from defres import (
@@ -266,24 +266,31 @@ class TestIntermediates:
         shape = SkewPartition((2, 2), (1,))
         assert intermediates(shape, 7) == []
 
-    @given(partitions(max_size=9, max_rows=4), st.integers(min_value=0, max_value=9))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_filter(self, outer, c):
-        # brute force: filter all partitions of the right size by containment
-        inner_candidates = [q for q in partitions_of(max(outer.size - 3, 0)) if outer.contains(q)]
-        inner = inner_candidates[0] if inner_candidates else Partition()
-        shape = SkewPartition(outer, inner)
-        got = intermediates(shape, c)
-        want = [
-            t
-            for t in partitions_of(inner.size + c)
-            if outer.contains(t) and t.contains(inner)
-        ]
-        assert sorted(tuple(t) for t in got) == sorted(tuple(t) for t in want)
-        # descending lexicographic order
-        assert [tuple(t) for t in got] == sorted(
-            (tuple(t) for t in got), reverse=True
-        )
+    def test_matches_filter(self):
+        # exhaustive: every outer of at most 10 boxes, every inner inside it
+        # and every c one past either end, against filtering the partitions
+        # of the target size (reverse-lexicographic, so the order is checked)
+        cases = 0
+        for size in range(11):
+            for shape in skew_shapes(size, 10 - size):
+                outer, inner = shape
+                for c in range(-1, size + 2):
+                    got = intermediates(shape, c)
+                    want = [] if c < 0 else [
+                        t
+                        for t in partitions_of(inner.size + c)
+                        if outer.contains(t) and t.contains(inner)
+                    ]
+                    assert got == want, (outer, inner, c)
+                    assert all(type(t) is Partition for t in got)
+                    assert intermediates((tuple(outer), tuple(inner)), c) == got
+                    cases += 1
+        assert cases == 20288
+
+    def test_many_rows(self):
+        # one loop over the rows: 5000 of them need no recursion depth
+        shape = SkewPartition((1,) * 5000)
+        assert intermediates(shape, 2500) == [Partition((1,) * 2500)]
 
 
 class TestCentralizerOrder:

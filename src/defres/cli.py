@@ -251,6 +251,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def parsed(parse):  # an argparse type that keeps the parse error's reason
+        def convert(text):
+            try:
+                return parse(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(exc) from None
+        return convert
+
     def add_common(p):
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
@@ -258,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("defres", help="evaluate a deflated skew character")
-    p.add_argument("--shape", type=SkewPartition.parse, required=True)
+    p.add_argument("--shape", type=parsed(SkewPartition.parse), required=True)
     p.add_argument("--m", type=int, required=True, help="base group degree")
-    p.add_argument("--gamma", type=Composition.parse, required=True,
+    p.add_argument("--gamma", type=parsed(Composition.parse), required=True,
                    help="cycle type in the deflated group")
     p.add_argument("--theta", default="trivial",
                    help="deflating character: trivial, sign, or a partition of m")
@@ -274,28 +282,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_defres)
 
     p = sub.add_parser("mn", help="evaluate a skew character by strip counts")
-    p.add_argument("--shape", type=SkewPartition.parse, required=True)
-    p.add_argument("--gamma", type=Composition.parse, required=True)
+    p.add_argument("--shape", type=parsed(SkewPartition.parse), required=True)
+    p.add_argument("--gamma", type=parsed(Composition.parse), required=True)
     add_common(p)
     p.set_defaults(handler=_cmd_mn)
 
     p = sub.add_parser("tableaux", help="list (m-)border-strip tableaux")
-    p.add_argument("--shape", type=SkewPartition.parse, required=True)
-    p.add_argument("--gamma", type=Composition.parse, required=True)
+    p.add_argument("--shape", type=parsed(SkewPartition.parse), required=True)
+    p.add_argument("--gamma", type=parsed(Composition.parse), required=True)
     p.add_argument("--m", type=int, default=1)
     add_common(p)
     p.set_defaults(handler=_cmd_tableaux)
 
     p = sub.add_parser("quotient", help="abacus displays and the n-quotient")
-    p.add_argument("--shape", type=SkewPartition.parse, required=True)
+    p.add_argument("--shape", type=parsed(SkewPartition.parse), required=True)
     p.add_argument("--n", type=int, required=True)
     add_common(p)
     p.set_defaults(handler=_cmd_quotient)
 
     p = sub.add_parser("farahat", help="check the stretched-class identity")
-    p.add_argument("--shape", type=SkewPartition.parse, required=True)
+    p.add_argument("--shape", type=parsed(SkewPartition.parse), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", type=Partition.parse, required=True)
+    p.add_argument("--alpha", type=parsed(Partition.parse), required=True)
     add_common(p)
     p.set_defaults(handler=_cmd_farahat)
 

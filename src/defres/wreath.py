@@ -14,22 +14,23 @@ matters, which is what the grouped oracle exploits.
 
 ``oracle_defres`` averages psi * tilde_theta over the base group.  The
 default path needs, per cycle length s of g, only the multiset of classes
-on its k_s cycles (a conjugacy class of the wreath product), and sums over
-those multisets in integers.  The naive path literally sums over all
-(m!)^n base tuples and exists purely as an independent check.  A budget
-guards both: it bounds the prod_s C(p(m) + k_s - 1, k_s) class multisets
-of the grouped path and the (m!)^n base tuples of the naive one.
+on its k_s cycles (a conjugacy class of the wreath product).  Summed in
+integers, these depend on theta and the cycle lengths of g alone, so the
+sum is memoised on them as (weight, cycle type) terms, equal types merged
+and zero weights dropped.  The naive path sums over all (m!)^n base tuples
+as an independent check.  A budget, checked first, bounds the
+prod_s C(p(m) + k_s - 1, k_s) class multisets or the (m!)^n base tuples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, combinations_with_replacement, product
+from functools import cache, reduce
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 
-from .borderstrips import mn_value
+from .borderstrips import _mn, mn_value
 from .partitions import Partition, SkewPartition, centralizer_order, partitions_of
 from .perms import all_permutations, compose, cycle_type_of, cycles, identity
 
@@ -134,24 +135,30 @@ def oracle_defres(
         raise BudgetExceeded(
             f"grouped oracle needs {needed} class multisets, budget {budget}"
         )
-    # |beta| * theta(beta), |beta| = m! / z_beta the size of the class
-    weight = {b: factorial(m) // centralizer_order(b) * theta(b) for b in classes}
-    live = [b for b in classes if weight[b]]
-    per_length = []  # (weight, parts) of each class multiset, per cycle length
-    for s, k in lengths.items():
-        terms = []
-        for multiset in combinations_with_replacement(live, k):
-            w = factorial(k) // prod(map(factorial, Counter(multiset).values()))
-            w *= prod(weight[b] for b in multiset)
-            terms.append((w, [s * p for b in multiset for p in b]))
-        per_length.append(terms)
-    total = 0
-    for combined in product(*per_length):
-        parts = sorted(chain.from_iterable(p for _, p in combined), reverse=True)
-        total += prod(w for w, _ in combined) * mn_value(shape, parts)
+    terms = _expansion(theta, tuple(sorted(lengths.items())))
+    total = sum(w * _mn(shape.outer, shape.inner, parts) for w, parts in terms)
     order = factorial(m) ** sum(lengths.values())
     assert total % order == 0, "oracle average is not integral"
     return total // order
+
+
+@cache
+def _expansion(theta, lengths) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    m = theta.degree
+    # |beta| * theta(beta), |beta| = m! / z_beta the size of the class
+    weight = {b: factorial(m) // centralizer_order(b) * theta(b) for b in partitions_of(m)}
+    live = [b for b in weight if weight[b]]
+    terms = {(): 1}
+    for s, k in lengths:
+        merged = Counter()
+        for multiset in combinations_with_replacement(live, k):
+            w = factorial(k) // prod(map(factorial, Counter(multiset).values()))
+            w *= prod(weight[b] for b in multiset)
+            cycles_s = tuple(s * p for b in multiset for p in b)
+            for parts, v in terms.items():
+                merged[tuple(sorted(parts + cycles_s, reverse=True))] += w * v
+        terms = {parts: w for parts, w in merged.items() if w}
+    return tuple((w, parts) for parts, w in terms.items())
 
 
 def _oracle_naive(shape, theta, n, g, budget):

@@ -191,9 +191,12 @@ def test_criterion_04_general_theta_walkthrough():
 @criterion(5, "tableau rule equals averaging oracle", 600.0)
 def test_criterion_05_tableau_rule_equals_oracle():
     checked = 0
-    for m, n in GRID + ((2, 5), (5, 2), (3, 4), (4, 3), (2, 6), (6, 2)):
+    wider = ((2, 5), (5, 2), (3, 4), (4, 3), (2, 6), (6, 2))
+    cells = [(m, n, INNER_MAX) for m, n in GRID + wider]
+    cells += [(2, 7, 1), (7, 2, 1)]  # m * n = 14 at inner <= 1
+    for m, n, inner_max in cells:
         theta = ClassFunction.trivial(m)
-        for shape in skew_shapes(m * n, INNER_MAX):
+        for shape in skew_shapes(m * n, inner_max):
             for gamma in partitions_of(n):
                 want = oracle_defres(
                     shape, theta, n, with_cycle_type(gamma.parts, n)
@@ -204,7 +207,7 @@ def test_criterion_05_tableau_rule_equals_oracle():
                     gamma,
                 )
                 checked += 1
-    assert checked > 28000  # the sweep must not silently degenerate
+    assert checked > 34000  # the sweep must not silently degenerate
 
 
 @criterion(6, "stretched-class identity sweep", 600.0)

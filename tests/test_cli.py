@@ -64,6 +64,26 @@ class TestMn:
             main(["mn", "--shape", "2,1", "--gamma", "0,3"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("mn", "--shape", "2,2/3", "--gamma", "1"),
+             "--shape: inner 3 not contained in outer 2,2"),
+            (("mn", "--shape", "2,1", "--gamma", "x"),
+             "--gamma: cannot parse composition 'x'"),
+            (("farahat", "--shape", "2,2", "--n", "2", "--alpha", "0,-1"),
+             "--alpha: parts must be non-negative"),
+        ],
+    )
+    def test_parse_errors_keep_their_reason(self, capsys, argv, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert reason in errors[0] and "invalid" not in errors[0]
+
     def test_values_starting_with_a_dash(self, capsys):
         # "-/-" is the empty skew shape, not an option
         code, out, err = run(capsys, "mn", "--shape", "-/-", "--gamma", "-")

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -23,6 +24,7 @@ from defres import (
     to_permutation,
 )
 from defres.perms import all_permutations, cycle_type_of, parity, with_cycle_type
+from defres.wreath import _expansion
 
 BIG = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
 
@@ -185,11 +187,16 @@ class TestOracleDefres:
         shape = SkewPartition((3, 3, 3))
         with pytest.raises(BudgetExceeded):
             oracle_defres(shape, theta, 3, (0, 1, 2), budget=100, naive=True)
-        # grouped: multisets of 3 of the p(3) = 3 classes, C(5, 3) = 10
-        with pytest.raises(BudgetExceeded):
+        # grouped: multisets of 3 of the p(3) = 3 classes, C(5, 3) = 10; the
+        # budget is checked before anything is expanded
+        _expansion.cache_clear()
+        with pytest.raises(BudgetExceeded, match="needs 10 class multisets, budget 9"):
             oracle_defres(shape, theta, 3, (0, 1, 2), budget=9)
+        assert _expansion.cache_info().currsize == 0
         naive = oracle_defres(shape, theta, 3, (0, 1, 2), naive=True)
         assert oracle_defres(shape, theta, 3, (0, 1, 2), budget=10) == naive
+        assert _expansion.cache_info().currsize == 1
+        assert len(_expansion(theta, ((1, 3),))) <= 10
 
     def test_worked_example(self):
         shape = SkewPartition((6, 5, 3, 2), (3, 1))
@@ -218,6 +225,33 @@ class TestOracleDefres:
         shape = SkewPartition((10, 10, 10, 10))
         got = oracle_defres(shape, ClassFunction.trivial(4), 10, tuple(range(10)))
         assert got == a_coefficient(shape, 4, Composition((1,) * 10)) == 1129254
+
+    def test_expansion_invariants(self):
+        # column orthogonality: sum_b |b| chi^kappa(b) = m! [kappa = (m)] on
+        # each cycle of g, so the weights sum to (m!)^len(gamma) or to 0
+        for m in range(1, 6):
+            for kappa in partitions_of(m):
+                theta = irreducible_character(kappa)
+                for n in range(1, 5):
+                    for gamma in partitions_of(n):
+                        lengths = tuple(sorted(Counter(gamma).items()))
+                        terms = _expansion(theta, lengths)
+                        for w, parts in terms:
+                            assert w != 0
+                            assert list(parts) == sorted(parts, reverse=True)
+                            assert sum(parts) == m * n
+                        want = factorial(m) ** len(gamma) if kappa == (m,) else 0
+                        assert sum(w for w, _ in terms) == want, (kappa, gamma)
+
+    def test_expansion_is_shared_across_shapes(self):
+        # one cell sweep expands once per cycle type of g, p(n) times
+        for m, n in ((2, 3), (3, 2), (2, 4), (3, 3)):
+            theta = irreducible_character((m - 1, 1))
+            _expansion.cache_clear()
+            for shape in skew_shapes(m * n, 1):
+                for gamma in partitions_of(n):
+                    oracle_defres(shape, theta, n, with_cycle_type(gamma.parts, n))
+            assert _expansion.cache_info().misses == len(partitions_of(n))
 
     def test_class_function_of_the_top_type(self):
         # the average may only depend on the cycle type of g

@@ -20,7 +20,6 @@ from .borderstrips import (
     BorderStripTableau,
     StripMeta,
     a_coefficient,
-    enumerate_bst,
     enumerate_m_bst,
     is_border_strip,
     mn_value,
@@ -50,8 +49,6 @@ from .partitions import (
     Partition,
     SkewPartition,
     centralizer_order,
-    conjugate,
-    contains,
     intermediates,
     partitions_of,
     repeat_parts,
@@ -86,8 +83,6 @@ __all__ = [
     "WreathElement",
     "a_coefficient",
     "centralizer_order",
-    "conjugate",
-    "contains",
     "cycle_products",
     "cycle_type",
     "defres_degree",
@@ -95,7 +90,6 @@ __all__ = [
     "defres_sign",
     "defres_theorem",
     "display",
-    "enumerate_bst",
     "enumerate_m_bst",
     "farahat_check",
     "induced_value",

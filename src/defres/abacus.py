@@ -306,21 +306,16 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
         raise ValueError(f"type {type_} is not n times a partition")
     rows = _bead_rows(len(t.chain[-1]), n)
     displays = [display(p, n, rows=rows) for p in t.chain]
-    runner_chains: list[list[tuple[int, ...]]] = []
-    runner_labels: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        runner_chains.append([_partition_of_betas(displays[0].runner_rows(i))])
-    for step, (before, after) in enumerate(zip(displays, displays[1:])):
-        gone = before.beads - after.beads
-        new = after.beads - before.beads
-        if len(gone) != 1 or len(new) != 1:
-            raise RuntimeError("chain step is not a single bead migration")
-        (src,), (dst,) = gone, new
-        if src % n != dst % n:
-            raise RuntimeError("bead migration crosses runners")
-        i = src % n
-        runner_chains[i].append(_partition_of_betas(after.runner_rows(i)))
-        runner_labels[i].append(t.labels[step])
-    return [
-        BorderStripTableau(runner_chains[i], runner_labels[i]) for i in range(n)
+    runners = [
+        [_partition_of_betas(d.runner_rows(i)) for i in range(n)] for d in displays
     ]
+    runner_chains = [[q] for q in runners[0]]
+    runner_labels: list[list[int]] = [[] for _ in range(n)]
+    for label, before, after in zip(t.labels, runners, runners[1:]):
+        changed = [i for i in range(n) if before[i] != after[i]]
+        if len(changed) != 1:
+            raise RuntimeError("chain step does not change exactly one runner")
+        (i,) = changed
+        runner_chains[i].append(after[i])
+        runner_labels[i].append(label)
+    return [BorderStripTableau(c, ls) for c, ls in zip(runner_chains, runner_labels)]

@@ -22,8 +22,8 @@ Three derived quantities matter:
   the value of the skew character of shape lambda/mu at cycle type gamma.
 * ``enumerate_m_bst(shape, m, gamma)`` -- tableaux of type gamma with each
   part repeated m times whose topmost occupied rows weakly decrease as the
-  label increases through each block of m equal labels.  ``enumerate_bst``
-  is its m = 1 case, where the block condition is vacuous.
+  label increases through each block of m equal labels; for m = 1 the
+  block condition is vacuous and these are all border-strip tableaux.
 * ``a_coefficient(shape, m, gamma)`` -- the signed count of those.
 
 Both walks peel strips off the outer shape: ``mn_value`` has no row floor
@@ -290,15 +290,6 @@ def enumerate_m_bst(shape: SkewPartition, m: int, gamma) -> list[BorderStripTabl
         _iter_m_chains(shape.outer, shape.inner, type_, m, 0)
     )
     return [BorderStripTableau(chain) for chain in chains]
-
-
-def enumerate_bst(shape: SkewPartition, gamma) -> list[BorderStripTableau]:
-    """All border-strip tableaux of the given shape and type.
-
-    The m = 1 case of ``enumerate_m_bst``, sorted lexicographically on the
-    chain of partitions.
-    """
-    return enumerate_m_bst(shape, 1, gamma)
 
 
 @cache

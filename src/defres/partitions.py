@@ -190,15 +190,6 @@ class SkewPartition(tuple):
         return cls(Partition.parse(text), Partition())
 
 
-def contains(outer, inner) -> bool:
-    """True when the diagram of inner sits inside the diagram of outer."""
-    return _contains(Partition(outer), Partition(inner))
-
-
-def conjugate(p) -> Partition:
-    return Partition(p).conjugate()
-
-
 @cache
 def _partition_tuples(r: int, max_part: int) -> tuple[Partition, ...]:
     if r == 0:

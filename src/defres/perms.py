@@ -62,8 +62,8 @@ def parity(p: tuple[int, ...]) -> int:
 def with_cycle_type(parts, n: int) -> tuple[int, ...]:
     """A canonical permutation of {0..n-1} with the given cycle type."""
     parts = tuple(parts)
-    if sum(parts) != n:
-        raise ValueError(f"cycle type {parts} does not sum to {n}")
+    if any(length < 1 for length in parts) or sum(parts) != n:
+        raise ValueError(f"cycle type {parts} is not a composition of {n}")
     img = list(range(n))
     start = 0
     for length in parts:
@@ -77,11 +77,10 @@ def all_permutations(n: int) -> Iterator[tuple[int, ...]]:
     return _permutations(range(n))
 
 
-def cycle_notation(p: tuple[int, ...], one_based: bool = True) -> str:
-    """Cycle notation with fixed points omitted; the identity prints as ()."""
-    shift = 1 if one_based else 0
+def cycle_notation(p: tuple[int, ...]) -> str:
+    """1-based cycle notation without fixed points; the identity prints as ()."""
     parts = [
-        "(" + " ".join(str(x + shift) for x in c) + ")"
+        "(" + " ".join(str(x + 1) for x in c) + ")"
         for c in cycles(p)
         if len(c) > 1
     ]

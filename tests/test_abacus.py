@@ -11,7 +11,6 @@ from defres import (
     Partition,
     SkewPartition,
     display,
-    enumerate_bst,
     enumerate_m_bst,
     intermediates,
     is_border_strip,
@@ -44,7 +43,7 @@ FIG1_CHAIN = (
 def decomposable_oracle(shape, n):
     """Straight from the definition: some tableau of type (n,...,n) exists."""
     k = shape.size // n
-    return bool(enumerate_bst(shape, Composition((n,) * k)))
+    return bool(enumerate_m_bst(shape, 1, Composition((n,) * k)))
 
 
 def strip_down_cores(p, n):
@@ -207,7 +206,7 @@ class TestNQuotient:
                         continue
                     expected = n_quotient(shape, n).sign
                     signs = {
-                        t.sign for t in enumerate_bst(shape, Composition((n,) * k))
+                        t.sign for t in enumerate_m_bst(shape, 1, Composition((n,) * k))
                     }
                     assert signs == {expected}, (shape, n)
 
@@ -312,6 +311,17 @@ class TestQuotientBijection:
         with pytest.raises(ValueError):
             quotient_bijection(t, 0)
 
+    @pytest.mark.parametrize("chain", [((), (2, 1)), ((1,), (1,))])
+    def test_step_off_one_runner_raises(self, chain):
+        # forged past validation: on 2 runners (2, 1)/() moves a bead from
+        # runner 0 to runner 1, and (1,)/(1,) moves none
+        class Forged(BorderStripTableau):
+            type = Composition((2,))
+
+        t = tuple.__new__(Forged, (tuple(map(Partition, chain)), (1,)))
+        with pytest.raises(RuntimeError, match="exactly one runner"):
+            quotient_bijection(t, 2)
+
     def test_worked_example_structure(self):
         t = BorderStripTableau(FIG1_CHAIN)
         q = n_quotient(BIG, 3)
@@ -338,8 +348,8 @@ class TestQuotientBijection:
                 continue
             choices = []
             for i in range(n):
-                ts = enumerate_bst(
-                    q.components[i], Composition(alpha[j] for j in groups[i])
+                ts = enumerate_m_bst(
+                    q.components[i], 1, Composition(alpha[j] for j in groups[i])
                 )
                 choices.append(
                     [
@@ -362,7 +372,7 @@ class TestQuotientBijection:
                     cases.append((shape, n, alpha))
         for shape, n, alpha in cases:
             q = n_quotient(shape, n)
-            source = enumerate_bst(shape, stretch(alpha, n))
+            source = enumerate_m_bst(shape, 1, stretch(alpha, n))
             images = []
             for t in source:
                 parts = quotient_bijection(t, n)

@@ -30,7 +30,6 @@ from defres import (
     defres_recursive,
     defres_sign,
     defres_theorem,
-    enumerate_bst,
     enumerate_m_bst,
     farahat_check,
     intermediates,
@@ -130,7 +129,7 @@ def test_criterion_02_abacus_figures():
     assert q.sign == 1
     assert [str(c) for c in q.components] == ["1,1,1/-", "3,1/1,1", "-/-"]
 
-    sources = enumerate_bst(BIG, Composition((6, 3, 3, 3)))
+    sources = enumerate_m_bst(BIG, 1, Composition((6, 3, 3, 3)))
     assert len(sources) == 4
     images = []
     for s in sources:
@@ -147,7 +146,7 @@ def test_criterion_02_abacus_figures():
 def test_criterion_03_strip_count_and_stretched_identity():
     gamma = Composition((6, 3, 3, 3))
     assert mn_value(BIG, gamma) == -2
-    tableaux = enumerate_bst(BIG, gamma)
+    tableaux = enumerate_m_bst(BIG, 1, gamma)
     assert len(tableaux) == 4
     assert sorted(t.sign for t in tableaux) == [-1, -1, -1, 1]
     assert farahat_check(BIG, 3, (2, 1, 1, 1)) == (-2, -2)

@@ -12,7 +12,6 @@ from defres import (
     Partition,
     SkewPartition,
     a_coefficient,
-    enumerate_bst,
     enumerate_m_bst,
     is_border_strip,
     mn_value,
@@ -275,31 +274,31 @@ class TestBorderStripTableau:
 
 class TestEnumerateBst:
     def test_four_tableaux(self):
-        ts = enumerate_bst(BIG, Composition((6, 3, 3, 3)))
+        ts = enumerate_m_bst(BIG, 1, Composition((6, 3, 3, 3)))
         assert len(ts) == 4
         assert sorted(t.sign for t in ts) == [-1, -1, -1, 1]
         assert BorderStripTableau(FIG1_CHAIN) in ts
 
     def test_empty_type_on_equal_shapes(self):
-        ts = enumerate_bst(SkewPartition((3, 1), (3, 1)), Composition(()))
+        ts = enumerate_m_bst(SkewPartition((3, 1), (3, 1)), 1, Composition(()))
         assert len(ts) == 1 and ts[0].sign == 1
 
     def test_no_tableaux(self):
-        assert enumerate_bst(SkewPartition((2, 2)), Composition((4,))) == []
+        assert enumerate_m_bst(SkewPartition((2, 2)), 1, Composition((4,))) == []
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
-            enumerate_bst(SkewPartition((2, 2)), Composition((3,)))
+            enumerate_m_bst(SkewPartition((2, 2)), 1, Composition((3,)))
 
     def test_sorted_lexicographically(self):
-        ts = enumerate_bst(BIG, Composition((6, 3, 3, 3)))
+        ts = enumerate_m_bst(BIG, 1, Composition((6, 3, 3, 3)))
         chains = [tuple(p.parts for p in t.chain) for t in ts]
         assert chains == sorted(chains)
 
     def test_single_box_chains_are_standard_tableaux(self):
         for size in range(0, 9):
             for shape in skew_shapes(size, 3):
-                got = len(enumerate_bst(shape, Composition((1,) * size)))
+                got = len(enumerate_m_bst(shape, 1, Composition((1,) * size)))
                 assert got == syt_count(shape), shape
 
 
@@ -322,7 +321,7 @@ class TestMnValue:
             for shape in skew_shapes(size, 2):
                 for gamma in partitions_of(size):
                     assert mn_value(shape, gamma) == sum(
-                        t.sign for t in enumerate_bst(shape, gamma)
+                        t.sign for t in enumerate_m_bst(shape, 1, gamma)
                     )
 
     def test_hook_length_regression(self):
@@ -380,21 +379,13 @@ class TestEnumerateMBst:
         assert len(ts) == 1
         assert ts[0].sign == 1
 
-    def test_m1_reduces_to_plain_tableaux(self):
-        for size in range(0, 7):
-            for shape in skew_shapes(size, 1):
-                for gamma in partitions_of(size):
-                    assert enumerate_m_bst(shape, 1, gamma) == enumerate_bst(
-                        shape, gamma
-                    )
-
     def test_matches_filtered_enumeration(self):
         # independent route: enumerate all tableaux of the repeated type and
         # filter on the block condition computed from the strip metadata
         for m, n in ((2, 2), (2, 3), (3, 2)):
             for shape in skew_shapes(m * n, 2):
                 for gamma in partitions_of(n):
-                    full = enumerate_bst(shape, repeat_parts(gamma, m))
+                    full = enumerate_m_bst(shape, 1, repeat_parts(gamma, m))
                     kept = []
                     for t in full:
                         rows = [meta.row_number for meta in t.metas()]

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -365,6 +366,14 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: nothing to verify")
         assert err.count("\n") == 1
+
+    def test_empty_grid_at_large_max_size_is_fast(self, capsys):
+        # only m * n <= max-size is visited, not every (m, n) up to it
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--max-size", "100000", "--theta", "99999")
+        assert time.perf_counter() - start < 10
+        assert code == 1
+        assert err.startswith("error: nothing to verify")
 
 
 ONES = ",".join(["1"] * 1200)

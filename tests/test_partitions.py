@@ -16,8 +16,6 @@ from defres import (
     Partition,
     SkewPartition,
     centralizer_order,
-    conjugate,
-    contains,
     display,
     enumerate_m_bst,
     intermediates,
@@ -198,17 +196,17 @@ class TestComposition:
 
 class TestContains:
     def test_fixtures(self):
-        assert contains((6, 5, 3, 2), (3, 1))
-        assert not contains((3, 1), (1, 1, 1))
-        assert contains((1,), ())
-        assert contains((), ())
+        assert Partition((6, 5, 3, 2)).contains((3, 1))
+        assert not Partition((3, 1)).contains((1, 1, 1))
+        assert Partition((1,)).contains(())
+        assert Partition(()).contains(())
 
 
 class TestConjugate:
     def test_fixture(self):
-        assert conjugate((6, 4, 2)) == Partition((3, 3, 2, 2, 1, 1))
-        assert conjugate(()) == Partition()
-        assert conjugate((5,)) == Partition((1, 1, 1, 1, 1))
+        assert Partition((6, 4, 2)).conjugate() == Partition((3, 3, 2, 2, 1, 1))
+        assert Partition(()).conjugate() == Partition()
+        assert Partition((5,)).conjugate() == Partition((1, 1, 1, 1, 1))
 
     @given(partitions())
     def test_involution(self, p):

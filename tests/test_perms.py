@@ -86,6 +86,12 @@ class TestCycles:
         with pytest.raises(ValueError):
             with_cycle_type((2,), 4)
 
+    @pytest.mark.parametrize("parts", [(-1, 3), (0, 2)])
+    def test_with_cycle_type_rejects_parts_below_one(self, parts):
+        # both sum to 2, but a cycle has at least one element
+        with pytest.raises(ValueError, match="not a composition of 2"):
+            with_cycle_type(parts, 2)
+
     def test_with_cycle_type_round_trip(self):
         from defres import partitions_of
 
@@ -114,6 +120,5 @@ class TestCycles:
 class TestCycleNotation:
     def test_fixtures(self):
         assert cycle_notation((1, 0, 3, 2)) == "(1 2)(3 4)"
-        assert cycle_notation((1, 0, 3, 2), one_based=False) == "(0 1)(2 3)"
         assert cycle_notation(identity(3)) == "()"
         assert cycle_notation((1, 2, 0, 3)) == "(1 2 3)"

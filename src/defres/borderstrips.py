@@ -6,13 +6,14 @@ A border-strip tableau of shape lambda/mu and type gamma is a chain
     mu = l0 < l1 < ... < lk = lambda
 
 where each step li/l(i-1) is a border strip of gamma_i boxes; the boxes of
-that strip carry the label i.  Removing or adding a strip is a single bead
-move on a beta-set: a bead moving c places past h beads gives a strip of
-height h, each part passed moves one row and changes by one box, and the
-moved part moves h rows and changes by c - h.  Two memoised tables list
-the strips of c boxes that a shape loses or gains, each new shape sliced
-out of the parts tuple with the strip's height and top row; everything
-below reads a strip's sign and row from the first.  A tableau is the tuple
+that strip carry the label i.  Removing a strip is a single bead move on
+a beta-set: a bead moving c places up past h beads removes a strip of
+height h, each part passed moves one row and loses one box, and the moved
+part moves h rows and loses c - h.  One memoised walk lists the strips of
+c boxes that a shape loses, each new shape sliced out of the parts tuple
+with the strip's height and top row; everything below reads a strip's
+sign and row there.  The table of strips a shape gains is derived from
+that walk, and no program path reads it.  A tableau is the tuple
 ``(chain, labels)``, its strip metadata looked up there.
 
 Three derived quantities matter:
@@ -38,7 +39,9 @@ from functools import cache
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
-from .partitions import Composition, Partition, SkewPartition, _contains, repeat_parts
+from .partitions import (
+    Composition, Partition, SkewPartition, _contains, intermediates, repeat_parts,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,52 +51,45 @@ from .partitions import Composition, Partition, SkewPartition, _contains, repeat
 _Strips = tuple[tuple[Partition, int, int], ...]  # (tau, height, top_row)
 
 
-def _bead_moves(parts: tuple[int, ...], nbeads: int, shift: int) -> _Strips:
-    # Row r's bead sits at p[r] + nbeads - 1 - r, decreasing down the rows.
-    # Moving it |shift| places to an empty position removes (shift < 0) or
-    # adds a strip whose height is the beads it passes, those of the rows
-    # between r and s, the row it lands in; its top row is min(r, s) + 1 and
-    #   removal   tau = p[:r] + (p[r+1..s] each - 1) + (new,) + p[s+1:]
-    #   addition  tau = p[:s] + (new,) + (p[s..r-1] each + 1) + p[r+1:]
-    # Removals walk the rows up and additions down: tau comes out descending.
-    p = parts + (0,) * (nbeads - len(parts))
-    asc = [part + i for i, part in enumerate(reversed(p))]  # row nbeads-1-i's bead
+@cache
+def _strip_removals(nu: tuple[int, ...], c: int) -> _Strips:
+    """The strips of c boxes that nu loses, tau descending."""
+    # Row r's bead sits at p[r] + n - 1 - r, decreasing down the rows.
+    # Moving it up c places, to the empty position t, removes a strip whose
+    # height is the beads it passes, those of rows r+1..s (s the last row
+    # whose bead lies above t); its top row is r + 1 and
+    #   tau = p[:r] + (p[r+1..s] each - 1) + (new,) + p[s+1:]
+    # Walking the rows up gives tau descending.
+    if c < 1:
+        return ()
+    p = tuple(nu)  # exact tuples index faster than the Partition key
+    n = len(p)
+    asc = [part + i for i, part in enumerate(reversed(p))]  # row n-1-i's bead
     out = []
-    if shift < 0:
-        for r in range(nbeads - 1, -1, -1):
-            t = p[r] + nbeads - 1 - r + shift
-            i = bisect_left(asc, t)
-            if t < 0 or asc[i] == t:
-                continue
-            s = nbeads - 1 - i  # the last row whose bead lies above t
-            new = p[r] + shift + s - r
-            tau = p[:r] + tuple(x - 1 for x in p[r + 1 : s + 1]) + (new,) + p[s + 1 :]
-            if not new:  # s is the last row: cut the emptied rows
-                tau = tau[: tau.index(0)]
-            out.append((tuple.__new__(Partition, tau), s - r, r + 1))
-    else:
-        for r in range(nbeads):
-            t = p[r] + nbeads - 1 - r + shift
-            i = bisect_left(asc, t)
-            if i < nbeads and asc[i] == t:
-                continue
-            s = nbeads - i  # the first row whose bead lies below t
-            new = p[r] + shift + s - r
-            tau = p[:s] + (new,) + tuple(x + 1 for x in p[s:r]) + parts[r + 1 :]
-            out.append((tuple.__new__(Partition, tau), r - s, s + 1))
+    for r in range(n - 1, -1, -1):
+        t = p[r] + n - 1 - r - c
+        i = bisect_left(asc, t)
+        if t < 0 or asc[i] == t:
+            continue
+        s = n - 1 - i
+        new = p[r] - c + s - r
+        tau = p[:r] + tuple(x - 1 for x in p[r + 1 : s + 1]) + (new,) + p[s + 1 :]
+        if not new:  # s is the last row: cut the emptied rows
+            tau = tau[: tau.index(0)]
+        out.append((tuple.__new__(Partition, tau), s - r, r + 1))
     return tuple(out)
 
 
 @cache
-def _strip_removals(nu: tuple[int, ...], c: int) -> _Strips:
-    """The strips of c boxes that nu loses, tau descending."""
-    return _bead_moves(nu, len(nu), -c) if c > 0 else ()
-
-
-@cache
 def _strip_additions(mu: tuple[int, ...], c: int) -> _Strips:
-    """The strips of c boxes that mu gains (at most c new rows), tau descending."""
-    return _bead_moves(mu, len(mu) + c, c) if c > 0 else ()
+    """The strips of c boxes that mu gains, tau descending.
+
+    Read off the removal walk: tau runs over the shapes of c more boxes
+    inside mu widened by c columns and c rows.  No program path reads it.
+    """
+    box = ((mu[0] if mu else 0) + c,) * (len(mu) + c)
+    strips = ((tau, _strip(tau, mu)) for tau in intermediates((box, mu), c))
+    return tuple((tau, meta.height, meta.row_number) for tau, meta in strips if meta)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +240,12 @@ def mn_value(shape: SkewPartition, gamma) -> int:
 
 def _m_type(shape: SkewPartition, m: int, gamma) -> tuple[int, ...]:
     # the strip lengths of an m-border-strip tableau of type gamma
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    gamma = Composition(gamma)
-    if m * gamma.size != shape.size:
+    type_ = repeat_parts(gamma, m)
+    if type_.size != shape.size:
         raise ValueError(
-            f"m * |gamma| = {m * gamma.size} must equal |{shape}| = {shape.size}"
+            f"m * |gamma| = {type_.size} must equal |{shape}| = {shape.size}"
         )
-    return repeat_parts(gamma, m)
+    return type_
 
 
 def _iter_m_chains(

@@ -176,18 +176,19 @@ def _cmd_farahat(args) -> tuple[str, dict]:
 def _cmd_verify(args) -> tuple[str, dict]:
     # each deflating character swept, and the evaluator checked on it
     modes: dict = {"trivial": "tableau", "sign": "sign"}
+    sizes = range(2, args.max_size // 2 + 1)  # the m that have a cell (n >= 2)
     if args.theta in modes:
         modes = {args.theta: modes[args.theta]}
     elif args.theta is not None:
-        modes = {Partition.parse(args.theta): "recursive"}
+        theta = Partition.parse(args.theta)
+        modes = {theta: "recursive"}
+        sizes = [theta.size] if theta.size in sizes else []
     cells = []
     failures = []
-    for m in range(2, args.max_size + 1):
+    for m in sizes:
         for n in range(2, args.max_size // m + 1):
             for label, evaluator in modes.items():
                 theta = label if evaluator == "recursive" else _resolve_theta(label, m)
-                if theta.size != m:
-                    continue
                 start = time.perf_counter()
                 instances = 0
                 cell_failures = 0

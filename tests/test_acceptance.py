@@ -193,6 +193,7 @@ def test_criterion_05_tableau_rule_equals_oracle():
     wider = ((2, 5), (5, 2), (3, 4), (4, 3), (2, 6), (6, 2))
     cells = [(m, n, INNER_MAX) for m, n in GRID + wider]
     cells += [(2, 7, 1), (7, 2, 1)]  # m * n = 14 at inner <= 1
+    cells += [(3, 5, 1), (5, 3, 1), (2, 8, 1), (8, 2, 1), (4, 4, 1)]  # 15, 16
     for m, n, inner_max in cells:
         theta = ClassFunction.trivial(m)
         for shape in skew_shapes(m * n, inner_max):
@@ -206,7 +207,7 @@ def test_criterion_05_tableau_rule_equals_oracle():
                     gamma,
                 )
                 checked += 1
-    assert checked > 34000  # the sweep must not silently degenerate
+    assert checked > 53000  # the sweep must not silently degenerate
 
 
 @criterion(6, "stretched-class identity sweep", 600.0)

@@ -358,6 +358,8 @@ class TestVerify:
             ["--max-size", "-1"],
             ["--max-size", "3"],
             ["--max-size", "4", "--theta", "5"],
+            ["--max-size", "12", "--theta", "1"],
+            ["--max-size", "12", "--theta", "-"],
         ],
     )
     def test_empty_grid_exits_1(self, capsys, argv):
@@ -374,6 +376,19 @@ class TestVerify:
         assert time.perf_counter() - start < 10
         assert code == 1
         assert err.startswith("error: nothing to verify")
+
+    def test_general_theta_plans_only_its_own_m(self, capsys):
+        # the cells are planned up front: a general theta visits m = |theta|
+        # alone, so an empty sweep does not grow with max-size
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "--max-size", "10000000", "--theta", "9999999"
+        )
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: nothing to verify")
+        assert err.count("\n") == 1
 
 
 ONES = ",".join(["1"] * 1200)

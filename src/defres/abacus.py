@@ -31,11 +31,11 @@ followed by ``n_quotient`` reads a shape's abacus once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 
 from .borderstrips import BorderStripTableau
-from .partitions import Partition, SkewPartition
+from .partitions import Partition, SkewPartition, intermediates
 from .perms import parity
 
 
@@ -181,6 +181,15 @@ def paired_displays(
     return outer, display(shape.inner, n, rows=_bead_rows(len(shape.outer), n))
 
 
+def _runners(parts, n: int, nbeads: int) -> list[list[tuple[int, int]]]:
+    # the display of parts with nbeads beads, runner by runner: the
+    # (bead number, row) of each bead, in order down the runner
+    side: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, pos in enumerate(sorted(_beta_set(parts, nbeads))):
+        side[pos % n].append((k, pos // n))
+    return side
+
+
 @lru_cache(maxsize=1)
 def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
     # The one pass over the paired displays (equal bead counts, sized from
@@ -190,12 +199,7 @@ def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
     # One entry: callers ask is_n_decomposable, then n_quotient, of a shape.
     outer, inner = shape
     nbeads = n * _bead_rows(len(outer), n)
-    runners = []
-    for parts in (outer, inner):
-        side: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for k, pos in enumerate(sorted(_beta_set(parts, nbeads))):
-            side[pos % n].append((k, pos // n))  # (bead number, row)
-        runners.append(side)
+    runners = [_runners(parts, n, nbeads) for parts in (outer, inner)]
     rho = [0] * nbeads
     for beads_outer, beads_inner in zip(*runners):
         if len(beads_outer) != len(beads_inner):
@@ -212,6 +216,28 @@ def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
         for beads_outer, beads_inner in zip(*runners)
     )
     return QuotientData(components, tuple(r + 1 for r in rho), parity(tuple(rho)))
+
+
+@cache
+def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    # Every tau with outer/tau n-decomposable of m*n boxes: each runner
+    # partition of outer loses a sub-diagram, m boxes in all.  Runner by
+    # runner, a partial cut (tau's beads so far, boxes cut) stays while the
+    # runners after it can still make up m.
+    runners = _runners(outer, n, n * _bead_rows(len(outer), n))
+    parts = [_partition_of_betas([row for _, row in beads]) for beads in runners]
+    room = sum(map(sum, parts))
+    found = [((), 0)]
+    for i, (beads, part) in enumerate(zip(runners, parts)):
+        size = sum(part)
+        room -= size
+        found = [
+            (lifted + tuple(i + n * y for y in _beta_set(rho, len(beads))), cut + k)
+            for lifted, cut in found
+            for k in range(max(0, m - cut - room), min(size, m - cut) + 1)
+            for rho in intermediates((part, ()), size - k)
+        ]
+    return tuple(_partition_of_betas(lifted) for lifted, _ in found)
 
 
 def _check_runners(shape: SkewPartition, n: int) -> None:

@@ -10,24 +10,23 @@ Two independent evaluators are provided on top of the wreath oracle:
 * ``defres_theorem`` handles trivial theta via the signed count of
   m-border-strip tableaux of type gamma;
 * ``defres_recursive`` handles an arbitrary irreducible theta = chi^kappa
-  by peeling one cycle of gamma at a time: the skew character restricts
-  to S_(m*c) x S_(m*(n-c)) along every waistline tau of
-  ``partitions.intermediates`` (as in ``characters.skew_restriction``),
-  the lower half deflates at a single c-cycle and the upper half recurses
-  where that is non-zero.  A single cycle of length c deflates through
-  the c-quotient: the value is 0 unless the lower half is c-decomposable,
-  and otherwise it is the quotient sign times the LR fillings of content
-  kappa of the quotient components (``characters.lr_fillings``).
+  by peeling one cycle of gamma at a time, the largest first, off the
+  outer shape: lambda/mu restricts to S_(m*(n-c)) x S_(m*c) along every
+  waistline tau, the upper half lambda/tau deflates at a single c-cycle
+  and the lower half tau/mu recurses where that is non-zero.  A single
+  c-cycle deflates through the c-quotient: the value is 0 unless the shape
+  is c-decomposable, and otherwise it is the quotient sign times the LR
+  fillings of content kappa of the quotient components
+  (``characters.lr_fillings``).  So for c > 1 tau runs over the table
+  ``abacus._cuts`` of lambda's c-abacus, shared by every mu; for c = 1
+  over ``partitions.intermediates``.
 
-That single-cycle step is written once, in ``_single_cycle``, which reads
-the abacus once per skew character of the lower half: its memo keys on
-``_skew_key``, the character's connected components, each unchanged by
-translation and a 180 degree rotation (Macdonald, I.5), and it computes
-on one representative shape.  ``_recursive`` keys its memo on the upper
-half as the plain pair (outer, tau), tau as ``intermediates`` returns it,
-so no waistline is validated again.  ``farahat_check`` shares the
-quotient step, and ``ncycle_vanishing`` is the step itself on a straight
-shape.
+The single-cycle step is written once, in ``_single_cycle``: its memo keys
+on ``_skew_key``, the character's connected components, each unchanged by
+translation and a 180 degree rotation (Macdonald, I.5), and it computes on
+one representative shape.  ``_recursive`` keys its memo on the lower half
+as the plain pair (tau, mu).  ``farahat_check`` shares the quotient step,
+and ``ncycle_vanishing`` is the step itself on a straight shape.
 
 ``defres_sign`` and ``defres_degree`` are the closed forms for the sign
 character and the degree.
@@ -39,10 +38,10 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import zip_longest
 
-from .abacus import is_n_decomposable, n_quotient
+from .abacus import _cuts, is_n_decomposable, n_quotient
 from .borderstrips import a_coefficient, mn_value
 from .characters import _induced, lr_coefficient, lr_fillings, skew_character
-from .partitions import Composition, Partition, SkewPartition, intermediates, stretch
+from .partitions import Composition, Partition, SkewPartition, _contains, intermediates, stretch
 
 
 @dataclass(frozen=True)
@@ -140,22 +139,27 @@ def _single_cycle(key: tuple, c: int, kappa: tuple[int, ...]) -> int:
 def _recursive(
     shape: SkewPartition, m: int, kappa: tuple[int, ...], gamma: tuple[int, ...]
 ) -> int:
-    # shape is a skew shape or the equal plain pair (outer, inner)
+    # shape is a skew shape or the equal plain pair (outer, inner); gamma
+    # descends, and its first part c is cut off the outer side as outer/tau,
+    # tau from the cut table when c > 1, where it need not contain inner
     outer, inner = shape
     if not gamma:
         return 1 if outer == inner else 0
-    c = gamma[0]
+    c, rest = gamma[0], gamma[1:]
+    if not rest:
+        return _single_cycle(_skew_key(outer, inner), c, kappa)
     total = 0
-    for tau in intermediates(shape, m * c):
-        base = _single_cycle(_skew_key(tau, inner), c, kappa)
+    for tau in _cuts(outer, c, m) if c > 1 else intermediates(shape, m * sum(rest)):
+        base = _contains(tau, inner) and _single_cycle(_skew_key(outer, tau), c, kappa)
         if base:
-            total += base * _recursive((outer, tau), m, kappa, gamma[1:])
+            total += base * _recursive((tau, inner), m, kappa, rest)
     return total
 
 
 def defres_recursive(query: DeflationQuery) -> int:
-    """Deflation through any irreducible chi^theta, one cycle at a time."""
-    return _recursive(query.shape, query.m, query.theta, query.gamma)
+    """Deflation through any irreducible chi^theta, gamma's largest cycle first."""
+    gamma = tuple(sorted(query.gamma, reverse=True))
+    return _recursive(query.shape, query.m, query.theta, gamma)
 
 
 def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:

@@ -24,6 +24,7 @@ from defres import (
     stretch,
     unique_cycle_tableau,
 )
+from defres.abacus import _cuts
 from defres.perms import parity
 
 from conftest import partitions
@@ -167,6 +168,27 @@ class TestIsNDecomposable:
                 for shape in skew_shapes(n * k, 3):
                     got = is_n_decomposable(shape, n)
                     assert got == decomposable_oracle(shape, n), (shape, n)
+
+
+class TestCuts:
+    def test_lists_exactly_the_decomposable_cuts(self):
+        # the cut table of lambda against the filter over every waistline
+        checked = listed = 0
+        for size in range(13):
+            for lam in partitions_of(size):
+                for c in range(2, 7):
+                    for m in range(1, size // c + 1):
+                        got = _cuts(lam.parts, c, m)
+                        want = [
+                            tau
+                            for tau in intermediates((lam, ()), size - m * c)
+                            if is_n_decomposable(SkewPartition(lam, tau), c)
+                        ]
+                        assert sorted(got) == sorted(want), (lam, c, m)
+                        assert len(set(got)) == len(got), (lam, c, m)
+                        checked += 1
+                        listed += len(got)
+        assert (checked, listed) == (3404, 4316)
 
 
 class TestNQuotient:

@@ -418,13 +418,24 @@ class TestDeepGamma:
         )
 
     def test_many_rows_evaluate(self, capsys):
-        # the waistline walk loops over the 1200 rows, one level in all;
-        # route 1 gives the same value (defres_sign)
+        # the abacus is read in one loop over the 1200 rows, one level in
+        # all; route 1 gives the same value (defres_sign)
         code, out, err = run(
             capsys, "defres", "--shape", ONES, "--m", "2", "--theta", "1,1",
             "--gamma", "600",
         )
         assert (code, out, err) == (0, "value: 1\nevaluator: recursive\n", "")
+
+    def test_many_runners_evaluate(self, capsys):
+        # the cut table loops over the 1200 runners, one level in all;
+        # route 1 gives the same value (defres_sign)
+        for evaluator in ("recursive", "auto"):
+            code, out, err = run(
+                capsys, "defres", "--shape", ",".join(["1"] * 4800), "--m", "2",
+                "--theta", "1,1", "--gamma", "1200,1200", "--evaluator", evaluator,
+            )
+            assert (code, err) == (0, "")
+            assert out.startswith("value: 1\n"), evaluator
 
     def test_many_quotient_components_evaluate(self, capsys):
         # induction loops over the 1200 quotient components, one level in all

@@ -29,6 +29,7 @@ from defres import (
     skew_shapes,
     stretch,
 )
+from defres.abacus import _cuts
 from defres.deflation import _recursive, _single_cycle, _skew_key, _stacked
 from defres.perms import with_cycle_type
 
@@ -147,11 +148,23 @@ class TestDefresRecursive:
                     query(shape, m, (m,), gamma)
                 ) == defres_theorem(query(shape, m, (m,), gamma))
 
-    def test_agrees_with_closed_routes_at_m_n_14(self):
-        # route 2 against route 1 on the largest waistline walks in tier-1:
-        # the tableau rule at trivial theta, the sign closed form at sign
+    def test_every_order_of_gamma_matches_oracle(self):
+        for m, n, shape in small_grid():
+            for label in partitions_of(m):
+                theta = irreducible_character(label)
+                for gamma in partitions_of(n):
+                    want = oracle_defres(
+                        shape, theta, n, with_cycle_type(gamma.parts, n)
+                    )
+                    for order in set(itertools.permutations(gamma.parts)):
+                        got = defres_recursive(query(shape, m, label, order))
+                        assert got == want, (shape, m, label, order)
+
+    def test_agrees_with_closed_routes_to_m_n_16(self):
+        # route 2 against route 1 on the largest walks in tier-1: the
+        # tableau rule at trivial theta, the sign closed form at sign
         checked = 0
-        for m, n in ((2, 7), (7, 2)):
+        for m, n in ((2, 7), (7, 2), (2, 8), (8, 2), (4, 4)):
             for shape in skew_shapes(m * n, 1):
                 for gamma in partitions_of(n):
                     for label, closed in (
@@ -161,7 +174,23 @@ class TestDefresRecursive:
                         q = query(shape, m, label, gamma)
                         assert defres_recursive(q) == closed(q), (shape, label, gamma)
                         checked += 1
-        assert checked == 10574
+        assert checked == 41198
+
+    def test_matches_oracle_at_m_n_15(self):
+        # general theta, every kappa but trivial and sign, against route 3
+        checked = 0
+        for m, n in ((3, 5), (5, 3)):
+            for shape in skew_shapes(m * n, 1):
+                for label in partitions_of(m)[1:-1]:
+                    theta = irreducible_character(label)
+                    for gamma in partitions_of(n):
+                        q = query(shape, m, label, gamma)
+                        want = oracle_defres(
+                            shape, theta, n, with_cycle_type(gamma.parts, n)
+                        )
+                        assert defres_recursive(q) == want, (shape, label, gamma)
+                        checked += 1
+        assert checked == 8954
 
     def test_empty_evaluation_group(self):
         shape = SkewPartition((2, 1), (2, 1))
@@ -240,11 +269,12 @@ class TestSingleCycleClassTable:
 
 class TestSingleCycleMemo:
     def test_cold_query_computes_each_character_once(self):
-        # 33,475 lower halves with 895 distinct skew characters
+        # 1,209 single-cycle values with 100 distinct skew characters
         shape = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
         gamma = (4, 3, 2, 1, 1, 1)
         _single_cycle.cache_clear()
         _recursive.cache_clear()
+        _cuts.cache_clear()
         got = defres_recursive(query(shape, 3, (2, 1), gamma))
         assert _single_cycle.cache_info().misses <= 1000
         theta = irreducible_character((2, 1))

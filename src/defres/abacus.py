@@ -39,20 +39,18 @@ from .partitions import Partition, SkewPartition, intermediates
 from .perms import parity
 
 
-def _beta_set(parts: tuple[int, ...], nbeads: int) -> frozenset[int]:
-    # beads at parts[j] + (nbeads - 1 - j); parts padded with zeros
-    assert nbeads >= len(parts)
-    padded = parts + (0,) * (nbeads - len(parts))
-    return frozenset(padded[j] + (nbeads - 1 - j) for j in range(nbeads))
+def _beads(parts: tuple[int, ...], nbeads: int) -> list[int]:
+    # bead positions, ascending: the padding's 0..pad-1, then the parts from the bottom
+    pad = nbeads - len(parts)
+    assert pad >= 0
+    return [*range(pad), *(part + pad + i for i, part in enumerate(reversed(parts)))]
 
 
 def _partition_of_betas(betas) -> tuple[int, ...]:
+    # parts weakly decrease, so the zero parts dropped here are the trailing ones
     desc = sorted(betas, reverse=True)
     n = len(desc)
-    t = tuple(desc[j] - (n - 1 - j) for j in range(n))
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
+    return tuple([p for j, b in enumerate(desc) if (p := b - (n - 1 - j))])
 
 
 class AbacusDisplay(tuple):
@@ -141,17 +139,17 @@ def display(p, n: int, rows: int | None = None) -> AbacusDisplay:
     t = _bead_rows(len(p), n) if rows is None else rows
     if t * n < len(p) or t < 1:
         raise ValueError(f"{t} rows cannot hold {len(p)} parts on {n} runners")
-    return AbacusDisplay(n, _beta_set(p, t * n))
+    return AbacusDisplay(n, _beads(p, t * n))
 
 
 def n_core(p, n: int) -> Partition:
     """Push every bead to the top of its runner and read off the partition."""
-    d = display(p, n)
-    core_beads: list[int] = []
-    for i in range(n):
-        count = len(d.runner_rows(i))
-        core_beads.extend(i + n * r for r in range(count))
-    return Partition(_partition_of_betas(core_beads))
+    p = Partition(p)
+    if n < 1:
+        raise ValueError("need at least one runner")
+    side = _runners(p, n, n * _bead_rows(len(p), n))
+    core = [i + n * r for i, beads in enumerate(side) for r in range(len(beads))]
+    return Partition(_partition_of_betas(core))
 
 
 @dataclass(frozen=True)
@@ -185,9 +183,14 @@ def _runners(parts, n: int, nbeads: int) -> list[list[tuple[int, int]]]:
     # the display of parts with nbeads beads, runner by runner: the
     # (bead number, row) of each bead, in order down the runner
     side: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, pos in enumerate(sorted(_beta_set(parts, nbeads))):
+    for k, pos in enumerate(_beads(parts, nbeads)):
         side[pos % n].append((k, pos // n))
     return side
+
+
+def _runner_partitions(side: list[list[tuple[int, int]]]) -> list[tuple[int, ...]]:
+    # the partition on each runner of a _runners display, read off its rows
+    return [_partition_of_betas([row for _, row in beads]) for beads in side]
 
 
 @lru_cache(maxsize=1)
@@ -208,13 +211,7 @@ def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
             if y > x:
                 return None
             rho[k] = l
-    components = tuple(
-        SkewPartition(
-            _partition_of_betas(x for _, x in beads_outer),
-            _partition_of_betas(y for _, y in beads_inner),
-        )
-        for beads_outer, beads_inner in zip(*runners)
-    )
+    components = tuple(map(SkewPartition, *map(_runner_partitions, runners)))
     return QuotientData(components, tuple(r + 1 for r in rho), parity(tuple(rho)))
 
 
@@ -225,14 +222,14 @@ def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[int, ...], ...]
     # runner, a partial cut (tau's beads so far, boxes cut) stays while the
     # runners after it can still make up m.
     runners = _runners(outer, n, n * _bead_rows(len(outer), n))
-    parts = [_partition_of_betas([row for _, row in beads]) for beads in runners]
+    parts = _runner_partitions(runners)
     room = sum(map(sum, parts))
     found = [((), 0)]
     for i, (beads, part) in enumerate(zip(runners, parts)):
         size = sum(part)
         room -= size
         found = [
-            (lifted + tuple(i + n * y for y in _beta_set(rho, len(beads))), cut + k)
+            (lifted + tuple(i + n * y for y in _beads(rho, len(beads))), cut + k)
             for lifted, cut in found
             for k in range(max(0, m - cut - room), min(size, m - cut) + 1)
             for rho in intermediates((part, ()), size - k)
@@ -331,10 +328,7 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
     if any(alpha[i] < alpha[i + 1] for i in range(len(alpha) - 1)):
         raise ValueError(f"type {type_} is not n times a partition")
     rows = _bead_rows(len(t.chain[-1]), n)
-    displays = [display(p, n, rows=rows) for p in t.chain]
-    runners = [
-        [_partition_of_betas(d.runner_rows(i)) for i in range(n)] for d in displays
-    ]
+    runners = [_runner_partitions(_runners(p, n, n * rows)) for p in t.chain]
     runner_chains = [[q] for q in runners[0]]
     runner_labels: list[list[int]] = [[] for _ in range(n)]
     for label, before, after in zip(t.labels, runners, runners[1:]):

@@ -28,8 +28,8 @@ Three derived quantities matter:
 * ``a_coefficient(shape, m, gamma)`` -- the signed count of those.
 
 Both walks peel strips off the outer shape: ``mn_value`` has no row floor
-and takes gamma's first part first, the largest wherever the library calls
-it; the enumerations take the last label first, an independent order.
+and sorts gamma itself to peel the largest strip first; the enumerations
+take the last label first, an independent order.
 """
 
 from __future__ import annotations
@@ -228,14 +228,14 @@ def mn_value(shape: SkewPartition, gamma) -> int:
 
     Equals the value of the skew character of shape lambda/mu at any
     permutation of cycle type gamma; the result does not depend on the
-    order of the parts of gamma.
+    order of the parts of gamma, which are peeled largest first.
     """
     gamma = Composition(gamma)
     if gamma.size != shape.size:
         raise ValueError(
             f"type {gamma} must sum to |{shape}| = {shape.size}"
         )
-    return _mn(shape.outer, shape.inner, gamma)
+    return _mn(shape.outer, shape.inner, tuple(sorted(gamma, reverse=True)))
 
 
 def _m_type(shape: SkewPartition, m: int, gamma) -> tuple[int, ...]:

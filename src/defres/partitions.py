@@ -39,9 +39,10 @@ class Box(NamedTuple):
 
 def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
     t = tuple(int(x) for x in parts)
-    while t and t[-1] == 0:
-        t = t[:-1]
-    return t
+    end = len(t)
+    while end and t[end - 1] == 0:
+        end -= 1
+    return t[:end]
 
 
 def _contains(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:

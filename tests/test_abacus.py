@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +128,12 @@ class TestDisplay:
         assert display(Partition(), 5).bead_count == 5
         assert display((1, 1, 1, 1), 2).bead_count == 4
 
+    def test_many_beads_read_back_in_linear_time(self):
+        # 40,000 beads, 39,999 of them zero parts; read in one pass
+        start = time.perf_counter()
+        assert display((1,), 40000).partition() == (1,)
+        assert time.perf_counter() - start < 1
+
 
 class TestNCore:
     def test_fixtures(self):
@@ -148,6 +155,12 @@ class TestNCore:
             for p in partitions_of(r):
                 for n in (2, 3, 4):
                     assert n_core(n_core(p, n), n) == n_core(p, n)
+
+    def test_many_runners_counted_once(self):
+        # each runner's beads are counted off one read of the display
+        start = time.perf_counter()
+        assert n_core((1,), 20000) == (1,)
+        assert time.perf_counter() - start < 1
 
 
 class TestIsNDecomposable:
@@ -355,6 +368,15 @@ class TestQuotientBijection:
         for p in parts:
             comp_sign *= p.sign
         assert t.sign == q.sign * comp_sign
+
+    def test_many_runners_read_once_per_step(self):
+        # one read of the display per chain step, not one per runner
+        t = BorderStripTableau([(), (2000,), (4000,), (6000,)])
+        start = time.perf_counter()
+        parts = quotient_bijection(t, 2000)
+        assert time.perf_counter() - start < 1
+        assert [p.shape for p in parts] == list(n_quotient(t.shape, 2000).components)
+        assert sorted(x for p in parts for x in p.labels) == [1, 2, 3]
 
     def _expected_tuples(self, shape, n, alpha):
         """Independent enumeration of labelled component-tableau tuples."""

@@ -347,6 +347,17 @@ class TestMnValue:
             assert mn_value(SkewPartition(shape), (2000,)) == value
             assert time.perf_counter() - start < 10
 
+    def test_peels_the_largest_part_first_in_any_order(self):
+        # gamma is sorted before the walk, so any order fills the same memo
+        shape = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
+        gamma = (5, 5, 4, 4, 4, 2, 2, 2, 2, 2, 1, 1, 1, 1)
+        seen = []
+        for order in (gamma, gamma[::-1]):
+            _mn.cache_clear()
+            seen.append((mn_value(shape, order), _mn.cache_info().currsize))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == -2430
+
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             mn_value(SkewPartition((3,)), Composition((2,)))

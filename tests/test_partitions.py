@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import time
 from math import factorial
 
 import pytest
@@ -38,6 +39,14 @@ class TestPartition:
     def test_trailing_zeros_stripped(self):
         assert Partition((3, 1, 0, 0)) == Partition((3, 1))
         assert Partition((0, 0)) == Partition()
+
+    def test_trailing_zeros_stripped_in_one_slice(self):
+        start = time.perf_counter()
+        assert Partition((1,) + (0,) * 100_000) == Partition((1,))
+        assert time.perf_counter() - start < 1
+        for parts in ((0, 1), (2, 0, 1)):  # zeros before a part stay and fail
+            with pytest.raises(ValueError):
+                Partition(parts)
 
     def test_rejects_increasing(self):
         with pytest.raises(ValueError):

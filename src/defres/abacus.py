@@ -23,9 +23,9 @@ counts on lambda/mu to signed strip counts on the quotient.
 Decomposability, the quotient components, the relabelling and the sign all
 come from one pass over the paired displays, ``_quotient``, keyed on the
 skew shape and n; it keeps its last result, so ``is_n_decomposable``
-followed by ``n_quotient`` reads a shape's abacus once.
-``paired_displays`` draws the displays themselves; like the shapes, an
-``AbacusDisplay`` is a tuple, the pair ``(runners, beads)``.
+followed by ``n_quotient`` reads a shape's abacus once, on ordered bead
+lists.  ``display`` draws an ``AbacusDisplay`` for callers and printing;
+like the shapes, it is a tuple, the pair ``(runners, beads)``.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ def _beads(parts: tuple[int, ...], nbeads: int) -> list[int]:
     return [*range(pad), *(part + pad + i for i, part in enumerate(reversed(parts)))]
 
 
-def _partition_of_betas(betas) -> tuple[int, ...]:
-    # parts weakly decrease, so the zero parts dropped here are the trailing ones
-    desc = sorted(betas, reverse=True)
-    n = len(desc)
-    return tuple([p for j, b in enumerate(desc) if (p := b - (n - 1 - j))])
+def _partition_of_betas(betas) -> Partition:
+    # the j-th lowest bead gives the j-th lowest part (zeros dropped); distinct
+    # beads give weakly increasing parts, so the reversal needs no validation
+    parts = [p for j, b in enumerate(sorted(betas)) if (p := b - j)]
+    return tuple.__new__(Partition, parts[::-1])
 
 
 class AbacusDisplay(tuple):
@@ -91,7 +91,7 @@ class AbacusDisplay(tuple):
 
     def partition(self) -> Partition:
         """The partition this display encodes."""
-        return Partition(_partition_of_betas(self.beads))
+        return _partition_of_betas(self.beads)
 
     def runner_rows(self, i: int) -> tuple[int, ...]:
         """Ascending rows of the beads on runner i."""
@@ -149,7 +149,7 @@ def n_core(p, n: int) -> Partition:
         raise ValueError("need at least one runner")
     side = _runners(p, n, n * _bead_rows(len(p), n))
     core = [i + n * r for i, beads in enumerate(side) for r in range(len(beads))]
-    return Partition(_partition_of_betas(core))
+    return _partition_of_betas(core)
 
 
 @dataclass(frozen=True)
@@ -171,14 +171,6 @@ class QuotientData:
         return len(self.components)
 
 
-def paired_displays(
-    shape: SkewPartition, n: int
-) -> tuple[AbacusDisplay, AbacusDisplay]:
-    """The displays of the outer and inner shape, both with the outer's rows."""
-    outer = display(shape.outer, n)
-    return outer, display(shape.inner, n, rows=_bead_rows(len(shape.outer), n))
-
-
 def _runners(parts, n: int, nbeads: int) -> list[list[tuple[int, int]]]:
     # the display of parts with nbeads beads, runner by runner: the
     # (bead number, row) of each bead, in order down the runner
@@ -188,7 +180,7 @@ def _runners(parts, n: int, nbeads: int) -> list[list[tuple[int, int]]]:
     return side
 
 
-def _runner_partitions(side: list[list[tuple[int, int]]]) -> list[tuple[int, ...]]:
+def _runner_partitions(side: list[list[tuple[int, int]]]) -> list[Partition]:
     # the partition on each runner of a _runners display, read off its rows
     return [_partition_of_betas([row for _, row in beads]) for beads in side]
 
@@ -216,16 +208,19 @@ def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
 
 
 @cache
-def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[int, ...], ...]:
+def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[Partition, ...]:
     # Every tau with outer/tau n-decomposable of m*n boxes: each runner
-    # partition of outer loses a sub-diagram, m boxes in all.  Runner by
-    # runner, a partial cut (tau's beads so far, boxes cut) stays while the
-    # runners after it can still make up m.
+    # partition of outer loses a sub-diagram, m boxes in all.  Runners
+    # without boxes keep their beads; over the rest, a partial cut (tau's
+    # beads so far, boxes cut) stays while the runners after it can make up m.
     runners = _runners(outer, n, n * _bead_rows(len(outer), n))
     parts = _runner_partitions(runners)
+    kept = [i + n * y for i, part in enumerate(parts) if not part for _, y in runners[i]]
     room = sum(map(sum, parts))
     found = [((), 0)]
     for i, (beads, part) in enumerate(zip(runners, parts)):
+        if not part:
+            continue
         size = sum(part)
         room -= size
         found = [
@@ -234,7 +229,7 @@ def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[int, ...], ...]
             for k in range(max(0, m - cut - room), min(size, m - cut) + 1)
             for rho in intermediates((part, ()), size - k)
         ]
-    return tuple(_partition_of_betas(lifted) for lifted, _ in found)
+    return tuple(_partition_of_betas(kept + list(lifted)) for lifted, cut in found if cut == m)
 
 
 def _check_runners(shape: SkewPartition, n: int) -> None:
@@ -292,21 +287,21 @@ def unique_cycle_tableau(
         not is_horizontal_strip(c) for c in quotient.components
     ):
         return None
-    d_outer, d_inner = paired_displays(shape, n)
-    current = set(d_outer.beads)
+    nbeads = n * _bead_rows(len(shape.outer), n)
+    current = set(_beads(shape.outer, nbeads))
+    inner = set(_beads(shape.inner, nbeads))
     chain = [_partition_of_betas(current)]
     for _ in range(m):
-        pos = max(current - d_inner.beads)
+        pos = max(current - inner)
         target = pos - n
         if target < 0 or target in current:
             raise RuntimeError("bead lift blocked; quotient invariant broken")
         current.remove(pos)
         current.add(target)
         chain.append(_partition_of_betas(current))
-    if current != set(d_inner.beads):
+    if current != inner:
         raise RuntimeError("bead lifts did not reach the inner display")
-    tableau = BorderStripTableau(reversed(chain))
-    return tableau, tableau.sign
+    return BorderStripTableau(reversed(chain)), quotient.sign
 
 
 def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau]:

@@ -22,7 +22,7 @@ import json
 import sys
 import time
 
-from .abacus import n_quotient, paired_displays
+from .abacus import display, n_quotient
 from .borderstrips import enumerate_m_bst, mn_value
 from .characters import irreducible_character
 from .deflation import (
@@ -80,7 +80,6 @@ def _cmd_defres(args) -> tuple[str, dict]:
     value = _evaluate(query, evaluator, args.budget)
     text = f"value: {value}\nevaluator: {evaluator}"
     payload = {
-        "command": "defres",
         "evaluator": evaluator,
         "gamma": list(args.gamma),
         "m": args.m,
@@ -95,7 +94,6 @@ def _cmd_defres(args) -> tuple[str, dict]:
 def _cmd_mn(args) -> tuple[str, dict]:
     value = mn_value(args.shape, args.gamma)
     payload = {
-        "command": "mn",
         "gamma": list(args.gamma),
         "shape": str(args.shape),
         "value": value,
@@ -112,7 +110,6 @@ def _cmd_tableaux(args) -> tuple[str, dict]:
     total = sum(sign for _, _, sign in tableaux)
     blocks.append(f"tableaux: {len(tableaux)}\nsigned count: {total}")
     payload = {
-        "command": "tableaux",
         "count": len(tableaux),
         "gamma": list(args.gamma),
         "m": args.m,
@@ -134,7 +131,8 @@ def _cmd_tableaux(args) -> tuple[str, dict]:
 def _cmd_quotient(args) -> tuple[str, dict]:
     shape: SkewPartition = args.shape
     quotient = n_quotient(shape, args.n)
-    d_outer, d_inner = paired_displays(shape, args.n)
+    d_outer = display(shape.outer, args.n)
+    d_inner = display(shape.inner, args.n, rows=d_outer.bead_count // args.n)
     lines = [
         "outer display:",
         d_outer.render(),
@@ -147,7 +145,6 @@ def _cmd_quotient(args) -> tuple[str, dict]:
     lines.append(f"relabelling: {cycle_notation(rho)}")
     lines.append(f"sign: {quotient.sign:+d}")
     payload = {
-        "command": "quotient",
         "components": [str(c) for c in quotient.components],
         "n": args.n,
         "relabelling": list(quotient.relabelling),
@@ -164,7 +161,6 @@ def _cmd_farahat(args) -> tuple[str, dict]:
     payload = {
         "agree": agree,
         "alpha": list(args.alpha),
-        "command": "farahat",
         "lhs": lhs,
         "n": args.n,
         "rhs": rhs,
@@ -231,7 +227,6 @@ def _cmd_verify(args) -> tuple[str, dict]:
     lines.append("verify: ok" if ok else "verify: FAILED")
     payload = {
         "cells": cells,
-        "command": "verify",
         "failures": failures,
         "inner_max": args.inner_max,
         "max_size": args.max_size,
@@ -325,6 +320,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, payload = args.handler(args)
+        payload["command"] = args.command
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -203,6 +203,16 @@ class TestCuts:
                         listed += len(got)
         assert (checked, listed) == (3404, 4316)
 
+    def test_runners_without_boxes_are_not_cut(self):
+        # 30,000 runners, one holding boxes: the others keep their beads as
+        # they are, so the cut costs one read of the display
+        _cuts.cache_clear()
+        start = time.perf_counter()
+        got = _cuts((60000,), 30000, 1)
+        assert time.perf_counter() - start < 1
+        assert got == (Partition((30000,)),)
+        assert type(got[0]) is Partition
+
 
 class TestNQuotient:
     def test_worked_example(self):

@@ -1,8 +1,11 @@
+import importlib
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import defres
 from defres import (
     ClassFunction,
     Composition,
@@ -286,6 +289,52 @@ class TestSingleCycleMemo:
         want = oracle_defres(shape, theta, 6, with_cycle_type((2, 2, 1, 1), 6))
         assert want == 18
         assert defres_recursive(query(shape, 3, (2, 1), (2, 2, 1, 1))) == want
+
+
+class TestRouteIndependence:
+    # Which memos one cold query fills, route by route: route 2 reads no
+    # strip table, route 1 reads nothing of the abacus, and the oracle reads
+    # neither the abacus, route 2's memos nor route 1's counting memo.
+    SHAPE = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
+    GAMMA = Composition((4, 3, 2, 1, 1, 1))
+
+    @staticmethod
+    def filled(route) -> set[str]:
+        memos = {}
+        for info in pkgutil.iter_modules(defres.__path__):
+            module = importlib.import_module(f"defres.{info.name}")
+            for attr, obj in vars(module).items():
+                if (
+                    callable(getattr(obj, "cache_clear", None))
+                    and getattr(obj, "__module__", None) == module.__name__
+                ):
+                    memos[f"{info.name}.{attr}"] = obj
+        assert {"abacus._cuts", "borderstrips._a_count", "deflation._recursive"} <= set(memos)
+        for memo in memos.values():
+            memo.cache_clear()
+        route()
+        return {name for name, memo in memos.items() if memo.cache_info().currsize}
+
+    def test_recursion_fills_only_abacus_and_deflation_memos(self):
+        q = query(self.SHAPE, 3, (2, 1), self.GAMMA)
+        filled = self.filled(lambda: defres_recursive(q))
+        assert filled and all(
+            name.startswith(("abacus.", "deflation.")) for name in filled
+        ), filled
+
+    def test_tableau_rule_fills_only_strip_memos(self):
+        q = query(self.SHAPE, 3, (3,), self.GAMMA)
+        filled = self.filled(lambda: defres_theorem(q))
+        assert filled == {"borderstrips._a_count", "borderstrips._strip_removals"}
+
+    def test_oracle_fills_no_abacus_deflation_or_counting_memo(self):
+        theta = irreducible_character((2, 1))
+        g = with_cycle_type(self.GAMMA, 12)
+        filled = self.filled(lambda: oracle_defres(self.SHAPE, theta, 12, g))
+        assert filled and not any(
+            name.startswith(("abacus.", "deflation.")) for name in filled
+        ), filled
+        assert "borderstrips._a_count" not in filled
 
 
 class TestFarahatCheck:

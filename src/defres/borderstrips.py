@@ -14,7 +14,8 @@ c boxes that a shape loses, each new shape sliced out of the parts tuple
 with the strip's height and top row; everything below reads a strip's
 sign and row there.  The table of strips a shape gains is derived from
 that walk, and no program path reads it.  A tableau is the tuple
-``(chain, labels)``, its strip metadata looked up there.
+``(chain, labels)``: its public constructor looks each step up there, and
+the listing builds its tableaux from the walk, whose steps are strips.
 
 Three derived quantities matter:
 
@@ -138,7 +139,8 @@ class BorderStripTableau(tuple):
     The pair ``(chain, labels)``, equal and hashed like it: ``chain[0]`` is
     the inner shape, ``chain[-1]`` the outer one, and the boxes of
     ``chain[i]/chain[i-1]`` carry ``labels[i-1]`` (by default 1..k).
-    Construction validates every step.
+    The constructor validates every step; ``enumerate_m_bst`` builds its
+    tableaux from the strip walk, whose steps are strips by construction.
     """
 
     __slots__ = ()
@@ -190,14 +192,19 @@ class BorderStripTableau(tuple):
 
     def render(self) -> str:
         """ASCII grid; inner boxes print as ':' and strip boxes as labels."""
-        fill = dict.fromkeys(self.chain[0].boxes(), ":")
-        for label, strip in zip(self.labels, self.strips()):
-            fill.update(dict.fromkeys(strip.boxes(), str(label)))
-        width = max(map(len, fill.values()), default=1)
-        return "\n".join(
-            " ".join(fill[r, c].rjust(width) for c in range(1, part + 1))
-            for r, part in enumerate(self.chain[-1], start=1)
-        )
+        # row r of chain[i] ends where the boxes of labels[i] begin
+        cells = [":", *map(str, self.labels)]
+        width = max(map(len, cells))
+        cells = [cell.rjust(width) for cell in cells]
+        rows = []
+        for r in range(len(self.chain[-1])):
+            row, start = [], 0
+            for cell, p in zip(cells, self.chain):
+                end = p[r] if r < len(p) else 0
+                row += [cell] * (end - start)
+                start = end
+            rows.append(" ".join(row))
+        return "\n".join(rows)
 
     def __repr__(self) -> str:
         chain = [tuple(p) for p in self.chain]
@@ -280,10 +287,10 @@ def enumerate_m_bst(shape: SkewPartition, m: int, gamma) -> list[BorderStripTabl
     m = 1 the condition is vacuous.  Sorted lexicographically on the chain.
     """
     type_ = _m_type(shape, m, gamma)
-    chains = sorted(
-        _iter_m_chains(shape.outer, shape.inner, type_, m, 0)
-    )
-    return [BorderStripTableau(chain) for chain in chains]
+    chains = sorted(_iter_m_chains(shape.outer, shape.inner, type_, m, 0))
+    # each step is a strip by construction and each shape a Partition
+    labels = tuple(range(1, len(type_) + 1))
+    return [tuple.__new__(BorderStripTableau, (chain, labels)) for chain in chains]
 
 
 @cache

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import time
 from functools import cache
 
@@ -137,6 +139,18 @@ def ssyt_count(shape, n, m):
         return total
 
     return fill(0, rows[0][0] + 1 if rows else 1)
+
+
+def render_oracle(t):
+    """The grid of a tableau filled box by box off its strips."""
+    fill = dict.fromkeys(t.chain[0].boxes(), ":")
+    for label, strip in zip(t.labels, t.strips()):
+        fill.update(dict.fromkeys(strip.boxes(), str(label)))
+    width = max(map(len, fill.values()), default=1)
+    return "\n".join(
+        " ".join(fill[r, c].rjust(width) for c in range(1, part + 1))
+        for r, part in enumerate(t.chain[-1], start=1)
+    )
 
 
 # --- predicates and metadata -------------------------------------------------
@@ -390,24 +404,52 @@ class TestEnumerateMBst:
         assert len(ts) == 1
         assert ts[0].sign == 1
 
-    def test_matches_filtered_enumeration(self):
-        # independent route: enumerate all tableaux of the repeated type and
-        # filter on the block condition computed from the strip metadata
+    @staticmethod
+    def sweep():
         for m, n in ((2, 2), (2, 3), (3, 2)):
             for shape in skew_shapes(m * n, 2):
                 for gamma in partitions_of(n):
-                    full = enumerate_m_bst(shape, 1, repeat_parts(gamma, m))
-                    kept = []
-                    for t in full:
-                        rows = [meta.row_number for meta in t.metas()]
-                        ok = all(
-                            rows[j - 1] >= rows[j]
-                            for j in range(1, len(rows))
-                            if (j % m) != 0
-                        )
-                        if ok:
-                            kept.append(t)
-                    assert enumerate_m_bst(shape, m, gamma) == kept
+                    yield shape, m, gamma
+
+    def test_matches_filtered_enumeration(self):
+        # independent route: enumerate all tableaux of the repeated type and
+        # filter on the block condition computed from the strip metadata
+        for shape, m, gamma in self.sweep():
+            full = enumerate_m_bst(shape, 1, repeat_parts(gamma, m))
+            kept = []
+            for t in full:
+                rows = [meta.row_number for meta in t.metas()]
+                ok = all(
+                    rows[j - 1] >= rows[j]
+                    for j in range(1, len(rows))
+                    if (j % m) != 0
+                )
+                if ok:
+                    kept.append(t)
+            assert enumerate_m_bst(shape, m, gamma) == kept
+
+    def test_listed_tableaux_are_validated_tableaux(self):
+        # the listing skips the validating constructor: what it hands out
+        # must be what that constructor builds from the same chain
+        listed = 0
+        for shape, m, gamma in self.sweep():
+            for t in enumerate_m_bst(shape, m, gamma):
+                assert type(t) is BorderStripTableau
+                rebuilt = BorderStripTableau(t.chain, t.labels)
+                assert rebuilt == t and hash(rebuilt) == hash(t)
+                assert all(type(p) is Partition for p in t.chain)
+                for u in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+                    assert type(u) is BorderStripTableau and u == t
+                listed += 1
+        assert listed == 348
+
+    def test_render_matches_the_box_fill(self):
+        for shape, m, gamma in self.sweep():
+            for t in enumerate_m_bst(shape, m, gamma):
+                assert t.render() == render_oracle(t)
+                spaced = range(7, 7 + 9 * len(t.labels), 9)  # 7, 16, 25, ...
+                u = BorderStripTableau(t.chain, spaced)
+                assert u.render() == render_oracle(u)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -179,10 +179,11 @@ class TestDefresRecursive:
                         checked += 1
         assert checked == 41198
 
-    def test_matches_oracle_at_m_n_15(self):
+    @staticmethod
+    def oracle_sweep(pairs):
         # general theta, every kappa but trivial and sign, against route 3
         checked = 0
-        for m, n in ((3, 5), (5, 3)):
+        for m, n in pairs:
             for shape in skew_shapes(m * n, 1):
                 for label in partitions_of(m)[1:-1]:
                     theta = irreducible_character(label)
@@ -193,7 +194,14 @@ class TestDefresRecursive:
                         )
                         assert defres_recursive(q) == want, (shape, label, gamma)
                         checked += 1
-        assert checked == 8954
+        return checked
+
+    def test_matches_oracle_at_m_n_15(self):
+        assert self.oracle_sweep(((3, 5), (5, 3))) == 8954
+
+    def test_matches_oracle_at_m_n_16(self):
+        # (4, 4) gives 7,920 instances and (8, 2) 21,120
+        assert self.oracle_sweep(((4, 4), (8, 2))) == 29040
 
     def test_empty_evaluation_group(self):
         shape = SkewPartition((2, 1), (2, 1))

@@ -32,7 +32,6 @@ from .characters import (
     irreducible_character,
     lr_coefficient,
     skew_character,
-    skew_restriction,
 )
 from .deflation import (
     DeflationQuery,
@@ -44,7 +43,6 @@ from .deflation import (
     ncycle_vanishing,
 )
 from .partitions import (
-    Box,
     Composition,
     Partition,
     SkewPartition,
@@ -70,7 +68,6 @@ from .wreath import (
 __all__ = [
     "AbacusDisplay",
     "BorderStripTableau",
-    "Box",
     "BudgetExceeded",
     "ClassFunction",
     "Composition",
@@ -110,7 +107,6 @@ __all__ = [
     "quotient_bijection",
     "repeat_parts",
     "skew_character",
-    "skew_restriction",
     "skew_shapes",
     "stretch",
     "tilde_theta_value",

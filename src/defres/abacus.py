@@ -93,12 +93,6 @@ class AbacusDisplay(tuple):
         """The partition this display encodes."""
         return _partition_of_betas(self.beads)
 
-    def runner_rows(self, i: int) -> tuple[int, ...]:
-        """Ascending rows of the beads on runner i."""
-        return tuple(
-            sorted(b // self.runners for b in self.beads if b % self.runners == i)
-        )
-
     def numbering(self) -> dict[int, int]:
         """Bead numbers 1..N in increasing order of position."""
         return {pos: k for k, pos in enumerate(sorted(self.beads), start=1)}
@@ -165,10 +159,6 @@ class QuotientData:
     components: tuple[SkewPartition, ...]
     relabelling: tuple[int, ...]
     sign: int
-
-    @property
-    def n(self) -> int:
-        return len(self.components)
 
 
 def _runners(parts, n: int, nbeads: int) -> list[list[tuple[int, int]]]:

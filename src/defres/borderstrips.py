@@ -178,11 +178,6 @@ class BorderStripTableau(tuple):
     def type(self) -> Composition:
         return Composition(m.length for m in self.metas())
 
-    def strips(self) -> list[SkewPartition]:
-        return [
-            SkewPartition(hi, lo) for lo, hi in zip(self.chain, self.chain[1:])
-        ]
-
     def metas(self) -> tuple[StripMeta, ...]:
         return tuple(_strip(hi, lo) for lo, hi in zip(self.chain, self.chain[1:]))
 

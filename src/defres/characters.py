@@ -36,7 +36,6 @@ from .partitions import (
     Partition,
     SkewPartition,
     centralizer_order,
-    intermediates,
     partitions_of,
 )
 
@@ -226,18 +225,3 @@ def lr_fillings(shapes, kappa) -> int:
 
     return fill(0)
 
-
-def skew_restriction(shape: SkewPartition, c: int) -> list[tuple[SkewPartition, SkewPartition]]:
-    """Split a skew character along S_c x S_(r-c).
-
-    Returns the pairs (tau/mu, lambda/tau) over all tau between the inner
-    and outer shapes with |tau/mu| = c; restricting the skew character of
-    lambda/mu to the Young subgroup gives the sum of the products of the
-    pairs' characters.
-    """
-    if not 0 <= c <= shape.size:
-        raise ValueError(f"c must lie between 0 and {shape.size}")
-    return [
-        (SkewPartition(tau, shape.inner), SkewPartition(shape.outer, tau))
-        for tau in intermediates(shape, c)
-    ]

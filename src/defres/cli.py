@@ -11,14 +11,16 @@ Shapes and types use the text grammar of :mod:`defres.partitions`.  With
 keys, so parsing and re-rendering the output is byte-identical.
 
 Exit codes: 0 success, 1 precondition violation (and failed verification,
-and an input too deep for the recursion limit: one level per part of gamma
-or cell of the quotient), 2 unparsable arguments, 3 oracle budget exceeded.
+an input too deep for the recursion limit: one level per part of gamma or
+cell of the quotient, and stdout closed by the reader before the output was
+written), 2 unparsable arguments, 3 oracle budget exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -334,9 +336,12 @@ def main(argv=None) -> int:
               "part or cell)", file=sys.stderr)
         return 1
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader left; devnull keeps the exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     if args.command == "verify" and not payload["ok"]:
         return 1
     return 0

@@ -27,14 +27,7 @@ from __future__ import annotations
 from functools import cache
 from math import factorial
 from operator import itemgetter, le
-from typing import Iterable, Iterator, NamedTuple
-
-
-class Box(NamedTuple):
-    """A cell of a Young diagram; rows and columns are indexed from 1."""
-
-    row: int
-    col: int
+from typing import Iterable, Iterator
 
 
 def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
@@ -137,11 +130,6 @@ class Partition(Composition):
             sum(1 for p in self if p >= c) for c in range(1, cols + 1)
         )
 
-    def boxes(self) -> Iterator[Box]:
-        for r, p in enumerate(self, start=1):
-            for c in range(1, p + 1):
-                yield Box(r, c)
-
 
 class SkewPartition(tuple):
     """A pair of nested partitions outer/inner; the shape is their difference.
@@ -170,11 +158,6 @@ class SkewPartition(tuple):
     @property
     def size(self) -> int:
         return self.outer.size - self.inner.size
-
-    def boxes(self) -> Iterator[Box]:
-        for r in range(1, len(self.outer) + 1):
-            for c in range(self.inner.part(r) + 1, self.outer.part(r) + 1):
-                yield Box(r, c)
 
     def __repr__(self) -> str:
         return f"SkewPartition({tuple(self.outer)!r}, {tuple(self.inner)!r})"

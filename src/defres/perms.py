@@ -21,13 +21,6 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(p[q[i]] for i in range(len(q)))
 
 
-def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
-
-
 def cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Cycle decomposition in order of smallest element; fixed points included."""
     n = len(p)

@@ -33,6 +33,16 @@ def skews(draw, max_size=10, max_rows=5):
     return SkewPartition(outer, inner)
 
 
+def boxes(shape):
+    """The (row, col) cells of a partition or skew shape, 1-indexed, row by row."""
+    outer, inner = shape if isinstance(shape, SkewPartition) else (shape, Partition())
+    return [
+        (r, c)
+        for r, hi in enumerate(outer, start=1)
+        for c in range(inner.part(r) + 1, hi + 1)
+    ]
+
+
 def pytest_terminal_summary(terminalreporter):
     """Repeat the acceptance verdict lines after the capture-heavy run."""
     import sys

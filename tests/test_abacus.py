@@ -28,7 +28,7 @@ from defres import (
 from defres.abacus import _cuts
 from defres.perms import parity
 
-from conftest import partitions
+from conftest import boxes, partitions
 
 BIG_OUTER = Partition((8, 5, 3, 2, 2, 2))
 BIG_INNER = Partition((2, 2, 1, 1, 1))
@@ -86,12 +86,6 @@ class TestAbacusDisplay:
     def test_numbering_ascends_with_position(self):
         d = display(BIG_OUTER, 3)
         assert d.numbering() == {2: 1, 3: 2, 4: 3, 6: 4, 9: 5, 13: 6}
-
-    def test_runner_rows(self):
-        d = display(BIG_OUTER, 3)
-        assert d.runner_rows(0) == (1, 2, 3)
-        assert d.runner_rows(1) == (1, 4)
-        assert d.runner_rows(2) == (0,)
 
     def test_render(self):
         d = display(BIG_OUTER, 3)
@@ -220,7 +214,7 @@ class TestNQuotient:
         assert [str(c) for c in q.components] == ["1,1,1/-", "3,1/1,1", "-/-"]
         assert q.relabelling == (2, 1, 4, 3, 5, 6)
         assert q.sign == 1
-        assert q.n == 3
+        assert len(q.components) == 3
 
     def test_rejects_non_decomposable(self):
         with pytest.raises(ValueError):
@@ -278,7 +272,10 @@ class TestNQuotient:
             comps = []
             rho = [0] * d_outer.bead_count
             for i in range(n):
-                ro, ri = d_outer.runner_rows(i), d_inner.runner_rows(i)
+                ro, ri = (
+                    sorted(b // n for b in d.beads if b % n == i)
+                    for d in (d_outer, d_inner)
+                )
                 comps.append(
                     SkewPartition(
                         AbacusDisplay(1, ro).partition(),
@@ -311,7 +308,7 @@ class TestIsHorizontalStrip:
     def test_matches_column_count(self):
         for size in range(0, 7):
             for shape in skew_shapes(size, 2):
-                cols = [b.col for b in shape.boxes()]
+                cols = [c for _, c in boxes(shape)]
                 assert is_horizontal_strip(shape) == (len(cols) == len(set(cols)))
 
 

@@ -25,7 +25,7 @@ from defres import (
 
 from defres.borderstrips import _a_count, _mn, _strip_additions, _strip_removals
 
-from conftest import skews
+from conftest import boxes, skews
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))  # 12 boxes
 BIG = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))  # 15 boxes
@@ -43,14 +43,14 @@ FIG1_CHAIN = (
 
 def strip_oracle(shape):
     """Border strip test straight from the definition, on the box set."""
-    boxes = set(shape.boxes())
-    if not boxes:
+    cells = set(boxes(shape))
+    if not cells:
         return False
-    for r, c in boxes:
-        if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= boxes:
+    for r, c in cells:
+        if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells:
             return False
     seen = set()
-    stack = [next(iter(boxes))]
+    stack = [next(iter(cells))]
     while stack:
         b = stack.pop()
         if b in seen:
@@ -60,14 +60,14 @@ def strip_oracle(shape):
         stack.extend(
             x
             for x in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1))
-            if x in boxes and x not in seen
+            if x in cells and x not in seen
         )
-    return seen == boxes
+    return seen == cells
 
 
 def strip_geometry(shape):
     """Size, occupied rows minus one and first occupied row, off the boxes."""
-    rows = {r for r, _ in shape.boxes()}
+    rows = {r for r, _ in boxes(shape)}
     return (shape.size, len(rows) - 1, min(rows))
 
 
@@ -104,7 +104,7 @@ def hook_length_count(p):
     for k in range(2, p.size + 1):
         num *= k
     den = 1
-    for r, c in p.boxes():
+    for r, c in boxes(p):
         den *= (p.part(r) - c) + (q.part(c) - r) + 1
     return num // den
 
@@ -143,9 +143,9 @@ def ssyt_count(shape, n, m):
 
 def render_oracle(t):
     """The grid of a tableau filled box by box off its strips."""
-    fill = dict.fromkeys(t.chain[0].boxes(), ":")
-    for label, strip in zip(t.labels, t.strips()):
-        fill.update(dict.fromkeys(strip.boxes(), str(label)))
+    fill = dict.fromkeys(boxes(t.chain[0]), ":")
+    for label, lo, hi in zip(t.labels, t.chain, t.chain[1:]):
+        fill.update(dict.fromkeys(boxes(SkewPartition(hi, lo)), str(label)))
     width = max(map(len, fill.values()), default=1)
     return "\n".join(
         " ".join(fill[r, c].rjust(width) for c in range(1, part + 1))

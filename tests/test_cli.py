@@ -517,20 +517,40 @@ class TestArgvFuzz:
         assert len(errors) == (1 if code else 0), (argv, err)
 
 
+def child_env():
+    # the child imports the package under test, installed or not
+    src = str(Path(defres.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestEntryPoints:
     def test_module_execution(self):
-        # the child imports the package under test, installed or not
-        src = str(Path(defres.__file__).parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "defres.cli", "mn", "--shape", "2,1",
              "--gamma", "3"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout == "-1\n"
+
+    def test_reader_closing_stdout_exits_1_quietly(self):
+        # 4,160 tableaux print about 4 MB of JSON, far more than a pipe holds
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "defres.cli", "tableaux", "--shape",
+             "6,5,4,3,2,1", "--m", "1", "--gamma", "3,3,3,3,3,2,2,1,1",
+             "--format", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:

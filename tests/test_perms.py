@@ -12,7 +12,6 @@ from defres.perms import (
     cycle_type_of,
     cycles,
     identity,
-    inverse,
     parity,
     with_cycle_type,
 )
@@ -47,12 +46,6 @@ class TestBasics:
         if len(p) != len(q):
             return
         assert parity(compose(p, q)) == parity(p) * parity(q)
-
-    @given(perms5)
-    @settings(max_examples=60, deadline=None)
-    def test_inverse(self, p):
-        assert compose(p, inverse(p)) == identity(len(p))
-        assert compose(inverse(p), p) == identity(len(p))
 
 
 class TestCycles:

@@ -218,10 +218,10 @@ def _mn(
 ) -> int:
     if not gamma:
         return 1 if outer == inner else 0
-    total = 0
+    total, rest = 0, gamma[1:]
     for tau, height, _ in _strip_removals(outer, gamma[0]):
-        if _contains(tau, inner):
-            total += (-1) ** height * _mn(tau, inner, gamma[1:])
+        if not inner or _contains(tau, inner):
+            total += (-1 if height & 1 else 1) * _mn(tau, inner, rest)
     return total
 
 
@@ -302,7 +302,7 @@ def _a_count(
         return 1 if outer == inner else 0
     total = 0
     for tau, height, top_row in _strip_removals(outer, type_[-1]):
-        if top_row < row_floor or not _contains(tau, inner):
+        if top_row < row_floor or inner and not _contains(tau, inner):
             continue
         nxt = top_row if (j - 1) % m != 0 else 0
         total += (-1) ** height * _a_count(tau, inner, type_[:-1], m, nxt)

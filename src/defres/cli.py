@@ -188,13 +188,16 @@ def _cmd_verify(args) -> tuple[str, dict]:
             for label, evaluator in modes.items():
                 theta = label if evaluator == "recursive" else _resolve_theta(label, m)
                 start = time.perf_counter()
+                # shared by the cell: theta's character and one top per gamma
+                character = irreducible_character(theta)
+                tops = [(gamma, with_cycle_type(gamma, n)) for gamma in partitions_of(n)]
                 instances = 0
                 cell_failures = 0
                 for shape in skew_shapes(m * n, args.inner_max):
-                    for gamma in partitions_of(n):
+                    for gamma, g in tops:
                         query = DeflationQuery(shape, m, n, theta, gamma)
                         claimed = _evaluate(query, evaluator)
-                        expected = _evaluate(query, "oracle")
+                        expected = oracle_defres(shape, character, n, g)
                         instances += 1
                         if claimed != expected:
                             cell_failures += 1

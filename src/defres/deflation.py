@@ -78,7 +78,7 @@ class DeflationQuery:
 
 def defres_theorem(query: DeflationQuery) -> int:
     """Deflation through the trivial character, evaluated by tableaux."""
-    if query.theta != Partition((query.m,)):
+    if query.theta != (query.m,):
         raise ValueError("defres_theorem requires the trivial deflating character")
     return a_coefficient(query.shape, query.m, query.gamma)
 
@@ -192,7 +192,7 @@ def defres_sign(query: DeflationQuery) -> int:
     Equals the trivial deflation of the conjugate shape, twisted by the
     sign of the evaluation class when m is odd.
     """
-    if query.theta != Partition((1,) * query.m):
+    if query.theta != (1,) * query.m:
         raise ValueError("defres_sign requires the sign deflating character")
     conj = SkewPartition(
         query.shape.outer.conjugate(), query.shape.inner.conjugate()

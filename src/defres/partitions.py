@@ -123,12 +123,8 @@ class Partition(Composition):
 
     def conjugate(self) -> "Partition":
         """Transpose of the diagram: column lengths become row lengths."""
-        if not self:
-            return Partition()
-        cols = self[0]
-        return Partition(
-            sum(1 for p in self if p >= c) for c in range(1, cols + 1)
-        )
+        cols = range(1, self[0] + 1) if self else ()
+        return tuple.__new__(Partition, [sum(1 for p in self if p >= c) for c in cols])
 
 
 class SkewPartition(tuple):
@@ -264,7 +260,5 @@ def repeat_parts(gamma, m: int) -> Composition:
     """Repeat each part of gamma m times in place: (3,1) -> (3,3,1,1) for m=2."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    out: list[int] = []
-    for p in Composition(gamma):
-        out.extend([p] * m)
-    return Composition(out)
+    # gamma validated, so every repeated part is positive
+    return tuple.__new__(Composition, [p for p in Composition(gamma) for _ in range(m)])

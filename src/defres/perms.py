@@ -44,7 +44,8 @@ def cycles(p: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def cycle_type_of(p: tuple[int, ...]) -> Partition:
-    return Partition(sorted((len(c) for c in cycles(p)), reverse=True))
+    # cycles validates p, so the sorted lengths are a partition
+    return tuple.__new__(Partition, sorted(map(len, cycles(p)), reverse=True))
 
 
 def parity(p: tuple[int, ...]) -> int:

@@ -15,10 +15,10 @@ matters, which is what the grouped oracle exploits.
 ``oracle_defres`` averages psi * tilde_theta over the base group.  The
 default path needs, per cycle length s of g, only the multiset of classes
 on its k_s cycles (a conjugacy class of the wreath product).  Summed in
-integers, these depend on theta and the cycle lengths of g alone, so the
-sum is memoised on them as (weight, cycle type) terms, equal types merged
-and zero weights dropped.  The naive path sums over all (m!)^n base tuples
-as an independent check.  A budget, checked first, bounds the
+integers, these depend on theta and the cycle lengths of g alone, read once
+per g, so the sum is memoised on them as (weight, cycle type) terms, equal
+types merged and zero weights dropped.  The naive path sums over all (m!)^n
+base tuples as an independent check.  A budget, checked first, bounds the
 prod_s C(p(m) + k_s - 1, k_s) class multisets or the (m!)^n base tuples.
 """
 
@@ -128,18 +128,24 @@ def oracle_defres(
         raise ValueError(f"|{shape}| = {shape.size} must equal m * n = {m * n}")
     if naive:
         return _oracle_naive(shape, theta, n, g, budget)
-    lengths = Counter(len(c) for c in cycles(g))
-    classes = partitions_of(m)
-    needed = prod(comb(len(classes) + k - 1, k) for k in lengths.values())
+    lengths = _cycle_lengths(tuple(g))
+    classes = len(partitions_of(m))
+    needed = prod(comb(classes + k - 1, k) for _, k in lengths)
     if needed > budget:
         raise BudgetExceeded(
             f"grouped oracle needs {needed} class multisets, budget {budget}"
         )
-    terms = _expansion(theta, tuple(sorted(lengths.items())))
-    total = sum(w * _mn(shape.outer, shape.inner, parts) for w, parts in terms)
-    order = factorial(m) ** sum(lengths.values())
+    outer, inner = shape
+    total = sum(w * _mn(outer, inner, parts) for w, parts in _expansion(theta, lengths))
+    order = factorial(m) ** sum(k for _, k in lengths)
     assert total % order == 0, "oracle average is not integral"
     return total // order
+
+
+@cache
+def _cycle_lengths(g: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    # g's (cycle length, count) pairs, lengths ascending; cycles validates g
+    return tuple(sorted(Counter(map(len, cycles(g))).items()))
 
 
 @cache

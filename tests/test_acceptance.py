@@ -196,11 +196,10 @@ def test_criterion_05_tableau_rule_equals_oracle():
     cells += [(3, 5, 1), (5, 3, 1), (2, 8, 1), (8, 2, 1), (4, 4, 1)]  # 15, 16
     for m, n, inner_max in cells:
         theta = ClassFunction.trivial(m)
+        tops = [(gamma, with_cycle_type(gamma, n)) for gamma in partitions_of(n)]
         for shape in skew_shapes(m * n, inner_max):
-            for gamma in partitions_of(n):
-                want = oracle_defres(
-                    shape, theta, n, with_cycle_type(gamma.parts, n)
-                )
+            for gamma, g in tops:
+                want = oracle_defres(shape, theta, n, g)
                 assert defres_theorem(query(shape, m, (m,), gamma)) == want, (
                     shape,
                     m,

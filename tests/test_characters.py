@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -328,28 +329,33 @@ def stacked(comps, overlap=0):
     return SkewPartition(outer, inner)
 
 
-class TestLrFillings:
+@cache
+def lr_cases():
     # every tuple of 1-3 skew shapes of total size r <= 6, inner sizes at
-    # most 1; the pool holds the empty shape and the size-0 shape 1/1
-    POOL = [s for size in range(7) for s in skew_shapes(size, 1)]
+    # most 1, with each kappa's multiplicity in their product read off the
+    # class table; the pool holds the empty shape and the size-0 shape 1/1.
+    # Built once: both tests below walk the same cases.
+    pool = [s for size in range(7) for s in skew_shapes(size, 1)]
+    out = []
+    for k in (1, 2, 3):
+        for comps in itertools.combinations_with_replacement(pool, k):
+            r = sum(s.size for s in comps)
+            if r > 6:
+                continue
+            thetas = [skew_character(s) for s in comps]
+            induced = ClassFunction(
+                r, {a: induced_value(thetas, a) for a in partitions_of(r)}
+            )
+            for kappa in partitions_of(r):
+                want = inner_product(irreducible_character(kappa), induced)
+                out.append((comps, kappa, want))
+    return tuple(out)
 
-    def cases(self):
-        for k in (1, 2, 3):
-            for comps in itertools.combinations_with_replacement(self.POOL, k):
-                r = sum(s.size for s in comps)
-                if r > 6:
-                    continue
-                thetas = [skew_character(s) for s in comps]
-                induced = ClassFunction(
-                    r, {a: induced_value(thetas, a) for a in partitions_of(r)}
-                )
-                for kappa in partitions_of(r):
-                    want = inner_product(irreducible_character(kappa), induced)
-                    yield comps, kappa, want
 
+class TestLrFillings:
     def test_matches_class_table(self):
         count = 0
-        for comps, kappa, want in self.cases():
+        for comps, kappa, want in lr_cases():
             assert lr_fillings(comps, kappa) == want, (comps, kappa)
             assert lr_fillings([stacked(comps)], kappa) == want, (comps, kappa)
             count += 1
@@ -359,7 +365,7 @@ class TestLrFillings:
         # negative control: glued components are one connected shape, and
         # the class table tells them apart
         wrong = 0
-        for comps, kappa, want in self.cases():
+        for comps, kappa, want in lr_cases():
             try:
                 glued = stacked(comps, overlap=1)
             except ValueError:  # the shifted rows are no skew shape

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 
 import defres
+import defres.cli
 from defres.cli import main
+from defres.perms import with_cycle_type
 
 BIG = "8,5,3,2,2,2/2,2,1,1,1"
 EX = "6,5,3,2/3,1"
@@ -368,6 +370,34 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: nothing to verify")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("binding", ["defres_theorem", "oracle_defres"])
+    def test_one_wrong_value_fails(self, capsys, monkeypatch, binding):
+        # the claimed route, or the oracle, off by one on the instance
+        # shape 3,1 at gamma 1,1 of the one cell m = n = 2
+        top = with_cycle_type((1, 1), 2)
+        wrong = {  # the binding's arguments -> is it the instance?
+            "defres_theorem": lambda q: (q.shape, q.gamma) == (((3, 1), ()), (1, 1)),
+            "oracle_defres": lambda shape, theta, n, g: (shape, g) == (((3, 1), ()), top),
+        }[binding]
+        original = getattr(defres.cli, binding)
+        monkeypatch.setattr(
+            defres.cli, binding, lambda *args: original(*args) + wrong(*args)
+        )
+        argv = ("verify", "--max-size", "4", "--inner-max", "0", "--theta", "trivial")
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[-1] == "verify: FAILED"
+        assert [line for line in lines if "shape=" in line] == [lines[-2]]
+        assert lines[-2].startswith("m=2 n=2 theta=2 shape=3,1/- gamma=1,1: ")
+        code, payload = run_json(capsys, *argv)
+        assert code == 1
+        assert payload["ok"] is False
+        cells = [(c["m"], c["n"], c["failures"], c["instances"]) for c in payload["cells"]]
+        assert cells == [(2, 2, 1, 10)]
+        assert payload["failures"] == [lines[-2]]
 
     def test_empty_grid_at_large_max_size_is_fast(self, capsys):
         # only m * n <= max-size is visited, not every (m, n) up to it

@@ -163,11 +163,12 @@ class TestDefresRecursive:
                         got = defres_recursive(query(shape, m, label, order))
                         assert got == want, (shape, m, label, order)
 
-    def test_agrees_with_closed_routes_to_m_n_16(self):
-        # route 2 against route 1 on the largest walks in tier-1: the
-        # tableau rule at trivial theta, the sign closed form at sign
+    @staticmethod
+    def closed_sweep(pairs):
+        # route 2 against route 1: the tableau rule at trivial theta, the
+        # sign closed form at sign
         checked = 0
-        for m, n in ((2, 7), (7, 2), (2, 8), (8, 2), (4, 4)):
+        for m, n in pairs:
             for shape in skew_shapes(m * n, 1):
                 for gamma in partitions_of(n):
                     for label, closed in (
@@ -177,21 +178,28 @@ class TestDefresRecursive:
                         q = query(shape, m, label, gamma)
                         assert defres_recursive(q) == closed(q), (shape, label, gamma)
                         checked += 1
-        assert checked == 41198
+        return checked
+
+    def test_agrees_with_closed_routes_to_m_n_16(self):
+        pairs = ((2, 7), (7, 2), (2, 8), (8, 2), (4, 4))
+        assert self.closed_sweep(pairs) == 41198
+
+    def test_agrees_with_closed_routes_at_m_n_18(self):
+        # (3, 6) gives 19,250 instances, (6, 3) 5,250 and (9, 2) 3,500
+        assert self.closed_sweep(((3, 6), (6, 3), (9, 2))) == 28000
 
     @staticmethod
     def oracle_sweep(pairs):
         # general theta, every kappa but trivial and sign, against route 3
         checked = 0
         for m, n in pairs:
+            tops = [(gamma, with_cycle_type(gamma, n)) for gamma in partitions_of(n)]
             for shape in skew_shapes(m * n, 1):
                 for label in partitions_of(m)[1:-1]:
                     theta = irreducible_character(label)
-                    for gamma in partitions_of(n):
+                    for gamma, g in tops:
                         q = query(shape, m, label, gamma)
-                        want = oracle_defres(
-                            shape, theta, n, with_cycle_type(gamma.parts, n)
-                        )
+                        want = oracle_defres(shape, theta, n, g)
                         assert defres_recursive(q) == want, (shape, label, gamma)
                         checked += 1
         return checked
@@ -202,6 +210,9 @@ class TestDefresRecursive:
     def test_matches_oracle_at_m_n_16(self):
         # (4, 4) gives 7,920 instances and (8, 2) 21,120
         assert self.oracle_sweep(((4, 4), (8, 2))) == 29040
+
+    def test_matches_oracle_at_m_n_18(self):
+        assert self.oracle_sweep(((3, 6),)) == 9625
 
     def test_empty_evaluation_group(self):
         shape = SkewPartition((2, 1), (2, 1))

@@ -24,7 +24,7 @@ from defres import (
     to_permutation,
 )
 from defres.perms import all_permutations, cycle_type_of, parity, with_cycle_type
-from defres.wreath import _expansion
+from defres.wreath import _cycle_lengths, _expansion
 
 BIG = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
 
@@ -177,10 +177,17 @@ class TestOracleDefres:
 
     @pytest.mark.parametrize("naive", [False, True])
     def test_top_not_a_permutation(self, naive):
-        # g = (0, 0) has the right length but no cycle through point 1
+        # g = (0, 0) has the right length but no cycle through point 1; a
+        # valid g read first gives the per-g memo no way around the check,
+        # and the failed read is not memoised
         theta = irreducible_character((2,))
-        with pytest.raises(ValueError, match="not a permutation"):
-            oracle_defres(SkewPartition((2, 2)), theta, 2, (0, 0), naive=naive)
+        shape = SkewPartition((2, 2))
+        oracle_defres(shape, theta, 2, (1, 0), naive=naive)
+        size = _cycle_lengths.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not a permutation"):
+                oracle_defres(shape, theta, 2, (0, 0), naive=naive)
+        assert _cycle_lengths.cache_info().currsize == size
 
     def test_budget(self):
         theta = ClassFunction.trivial(3)
@@ -190,9 +197,11 @@ class TestOracleDefres:
         # grouped: multisets of 3 of the p(3) = 3 classes, C(5, 3) = 10; the
         # budget is checked before anything is expanded
         _expansion.cache_clear()
+        _cycle_lengths.cache_clear()
         with pytest.raises(BudgetExceeded, match="needs 10 class multisets, budget 9"):
             oracle_defres(shape, theta, 3, (0, 1, 2), budget=9)
         assert _expansion.cache_info().currsize == 0
+        assert _cycle_lengths.cache_info().currsize == 1  # read for the budget
         naive = oracle_defres(shape, theta, 3, (0, 1, 2), naive=True)
         assert oracle_defres(shape, theta, 3, (0, 1, 2), budget=10) == naive
         assert _expansion.cache_info().currsize == 1

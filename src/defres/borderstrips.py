@@ -10,34 +10,37 @@ that strip carry the label i.  Removing a strip is a single bead move on
 a beta-set: a bead moving c places up past h beads removes a strip of
 height h, each part passed moves one row and loses one box, and the moved
 part moves h rows and loses c - h.  One memoised walk lists the strips of
-c boxes that a shape loses, each new shape sliced out of the parts tuple
-with the strip's height and top row; everything below reads a strip's
-sign and row there.  The table of strips a shape gains is derived from
-that walk, and no program path reads it.  A tableau is the tuple
-``(chain, labels)``: its public constructor looks each step up there, and
-the listing builds its tableaux from the walk, whose steps are strips.
+c boxes that a shape loses, each new shape tau sliced out of the parts
+tuple with the strip's height and top row; the table of strips a shape
+gains is derived from that walk, and no program path reads it.
 
 Three derived quantities matter:
 
 * ``mn_value(shape, gamma)`` -- the signed count of all border-strip
-  tableaux, computed by a memoized one-strip-at-a-time recursion.  This is
-  the value of the skew character of shape lambda/mu at cycle type gamma.
+  tableaux, the value of the skew character of lambda/mu at cycle type gamma.
 * ``enumerate_m_bst(shape, m, gamma)`` -- tableaux of type gamma with each
   part repeated m times whose topmost occupied rows weakly decrease as the
   label increases through each block of m equal labels; for m = 1 the
   block condition is vacuous and these are all border-strip tableaux.
 * ``a_coefficient(shape, m, gamma)`` -- the signed count of those.
 
-Both walks peel strips off the outer shape: ``mn_value`` has no row floor
-and sorts gamma itself to peel the largest strip first; the enumerations
-take the last label first, an independent order.
+Each walk reads the outer shape's table in its order, tau descending (the
+top row strictly descending), and recurses on tau.  The enumerations take
+the last label first and stop at the first strip above their row floor;
+``mn_value`` has no floor and peels the largest strip first.  A strip
+changes only rows top_row .. top_row + height, so tau contains the inner
+shape when top_row > len(inner); only the other strips are tested.  A
+tableau is the tuple ``(chain, labels)``: its constructor looks each step
+up in the table, the listing builds its tableaux from the walk, and sign
+and type are read off the chain rows: a step adds sum(hi) - sum(lo) boxes,
+and its height is the number of rows it changes, less one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterator, NamedTuple
 
 from .partitions import (
@@ -65,6 +68,7 @@ def _strip_removals(nu: tuple[int, ...], c: int) -> _Strips:
         return ()
     p = tuple(nu)  # exact tuples index faster than the Partition key
     n = len(p)
+    dec = tuple([x - 1 for x in p])
     asc = [part + i for i, part in enumerate(reversed(p))]  # row n-1-i's bead
     out = []
     for r in range(n - 1, -1, -1):
@@ -74,7 +78,7 @@ def _strip_removals(nu: tuple[int, ...], c: int) -> _Strips:
             continue
         s = n - 1 - i
         new = p[r] - c + s - r
-        tau = p[:r] + tuple(x - 1 for x in p[r + 1 : s + 1]) + (new,) + p[s + 1 :]
+        tau = p[:r] + dec[r + 1 : s + 1] + (new,) + p[s + 1 :]
         if not new:  # s is the last row: cut the emptied rows
             tau = tau[: tau.index(0)]
         out.append((tuple.__new__(Partition, tau), s - r, r + 1))
@@ -176,14 +180,16 @@ class BorderStripTableau(tuple):
 
     @property
     def type(self) -> Composition:
-        return Composition(m.length for m in self.metas())
+        return Composition(sum(hi) - sum(lo) for lo, hi in zip(self.chain, self.chain[1:]))
 
     def metas(self) -> tuple[StripMeta, ...]:
         return tuple(_strip(hi, lo) for lo, hi in zip(self.chain, self.chain[1:]))
 
     @property
     def sign(self) -> int:
-        return (-1) ** sum(m.height for m in self.metas())
+        # a step's height is the number of rows it changes, less one
+        steps = zip(self.chain, self.chain[1:])
+        return (-1) ** sum(len(hi) - len(lo) + sum(map(ne, hi, lo)) - 1 for lo, hi in steps)
 
     def render(self) -> str:
         """ASCII grid; inner boxes print as ':' and strip boxes as labels."""
@@ -218,9 +224,9 @@ def _mn(
 ) -> int:
     if not gamma:
         return 1 if outer == inner else 0
-    total, rest = 0, gamma[1:]
-    for tau, height, _ in _strip_removals(outer, gamma[0]):
-        if not inner or _contains(tau, inner):
+    total, rest, k = 0, gamma[1:], len(inner)
+    for tau, height, top_row in _strip_removals(outer, gamma[0]):
+        if top_row > k or _contains(tau, inner):
             total += (-1 if height & 1 else 1) * _mn(tau, inner, rest)
     return total
 
@@ -261,17 +267,18 @@ def _iter_m_chains(
     # strip shares a length block with the current label (0 otherwise):
     # within a block the topmost rows must weakly decrease as the label
     # increases.
-    j = len(type_)
+    j, k = len(type_), len(inner)
     if j == 0:
         if outer == inner:
             yield (outer,)
         return
     for tau, _, top_row in _strip_removals(outer, type_[-1]):
-        if top_row < row_floor or not _contains(tau, inner):
-            continue
-        nxt = top_row if (j - 1) % m != 0 else 0
-        for chain in _iter_m_chains(tau, inner, type_[:-1], m, nxt):
-            yield chain + (outer,)
+        if top_row < row_floor:
+            break
+        if top_row > k or _contains(tau, inner):
+            nxt = top_row if (j - 1) % m != 0 else 0
+            for chain in _iter_m_chains(tau, inner, type_[:-1], m, nxt):
+                yield chain + (outer,)
 
 
 def enumerate_m_bst(shape: SkewPartition, m: int, gamma) -> list[BorderStripTableau]:
@@ -297,15 +304,16 @@ def _a_count(
     row_floor: int,
 ) -> int:
     # signed version of _iter_m_chains; row_floor = 0 means unconstrained
-    j = len(type_)
+    j, k = len(type_), len(inner)
     if j == 0:
         return 1 if outer == inner else 0
     total = 0
     for tau, height, top_row in _strip_removals(outer, type_[-1]):
-        if top_row < row_floor or inner and not _contains(tau, inner):
-            continue
-        nxt = top_row if (j - 1) % m != 0 else 0
-        total += (-1) ** height * _a_count(tau, inner, type_[:-1], m, nxt)
+        if top_row < row_floor:
+            break
+        if top_row > k or _contains(tau, inner):
+            nxt = top_row if (j - 1) % m != 0 else 0
+            total += (-1 if height & 1 else 1) * _a_count(tau, inner, type_[:-1], m, nxt)
     return total
 
 

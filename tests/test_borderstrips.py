@@ -23,6 +23,7 @@ from defres import (
     strip_meta,
 )
 
+from defres import borderstrips
 from defres.borderstrips import _a_count, _mn, _strip_additions, _strip_removals
 
 from conftest import boxes, skews
@@ -232,6 +233,21 @@ class TestStripTables:
                     for tau in got + added:
                         assert type(tau) is Partition and 0 not in tau, (p, c, tau)
 
+    def test_walk_order_and_changed_rows(self):
+        # what the walks rely on: along a table the top rows strictly
+        # descend (so a walk stops at its row floor), and tau differs from
+        # the key in exactly rows top_row .. top_row + height (so tau holds
+        # any inner shape of fewer than top_row rows)
+        for size in range(13):
+            for p in partitions_of(size):
+                for c in range(1, 7):
+                    strips = _strip_removals(p, c)
+                    tops = [top_row for _, _, top_row in strips]
+                    assert all(a > b for a, b in zip(tops, tops[1:])), (p, c)
+                    for tau, height, top_row in strips:
+                        changed = [r for r in range(1, len(p) + 1) if p.part(r) != tau.part(r)]
+                        assert changed == list(range(top_row, top_row + height + 1)), (p, tau)
+
 
 # --- tableaux ----------------------------------------------------------------
 
@@ -278,6 +294,19 @@ class TestBorderStripTableau:
         lines = t.render().splitlines()
         assert lines[0] == " 1"
         assert lines[10] == "11"
+
+    def test_sign_and_type_match_box_geometry(self):
+        # sign and type are read off the chain rows; the box oracle reads
+        # each step's size and occupied rows off its boxes
+        tableaux = [BorderStripTableau(FIG1_CHAIN), BorderStripTableau([(2, 1)])]
+        tableaux += enumerate_m_bst(BIG, 1, Composition((6, 3, 3, 3)))
+        tableaux += enumerate_m_bst(EX_SHAPE, 2, Composition((1, 2, 3)))
+        tableaux += [t for args in TestEnumerateMBst.sweep() for t in enumerate_m_bst(*args)]
+        assert len(tableaux) == 2 + 4 + 3 + 348
+        for t in tableaux:
+            steps = [strip_geometry(SkewPartition(hi, lo)) for lo, hi in zip(t.chain, t.chain[1:])]
+            assert tuple(t.type) == tuple(size for size, _, _ in steps), t
+            assert t.sign == (-1) ** sum(height for _, height, _ in steps), t
 
     def test_empty_tableau(self):
         t = BorderStripTableau([(2, 1)])
@@ -343,6 +372,14 @@ class TestMnValue:
             for lam in partitions_of(r):
                 shape = SkewPartition(lam)
                 assert mn_value(shape, Composition((1,) * r)) == hook_length_count(lam)
+
+    def test_tall_inner_shapes(self):
+        # inner shapes of up to five boxes, so up to five rows: the walk
+        # tests containment only where a strip reaches the inner shape
+        shapes = [shape for k in range(1, 9) for shape in skew_shapes(k, 5)]
+        assert (len(shapes), sum(len(s.inner) >= 3 for s in shapes)) == (3445, 1466)
+        for shape in shapes:
+            assert mn_value(shape, (1,) * shape.size) == syt_count(shape), shape
 
     @given(skews(max_size=9, max_rows=5))
     @settings(max_examples=40, deadline=None)
@@ -478,3 +515,42 @@ class TestACoefficient:
             for shape in skew_shapes(m * n, 2):
                 got = a_coefficient(shape, m, Composition((1,) * n))
                 assert got == ssyt_count(shape, n, m), (shape, m, n)
+
+    def test_semistandard_count_on_tall_inner_shapes(self):
+        # inner shapes of up to five boxes; the listing and the signed count
+        # stop at the row floor and test containment near the inner shape
+        shapes = 0
+        for m, n in ((2, 2), (2, 3), (3, 2), (4, 2), (2, 4)):
+            ones = Composition((1,) * n)
+            for shape in skew_shapes(m * n, 5):
+                expected = ssyt_count(shape, n, m)
+                assert a_coefficient(shape, m, ones) == expected, (shape, m, n)
+                assert len(enumerate_m_bst(shape, m, ones)) == expected, (shape, m, n)
+                shapes += 1
+        assert shapes == 3667
+
+    @pytest.mark.parametrize("walk, query", [
+        ("_mn", lambda shape, m, gamma: mn_value(shape, repeat_parts(gamma, m))),
+        ("_a_count", a_coefficient),
+        ("_iter_m_chains", enumerate_m_bst),
+    ])
+    def test_walks_recurse_only_on_shapes_holding_the_inner_shape(
+        self, monkeypatch, walk, query
+    ):
+        # the containment rule skips the test only where it cannot fail, so
+        # the walks prune every shape that misses the inner shape, as a test
+        # on every strip would; no value shows it, as such a branch counts 0
+        real, held = getattr(borderstrips, walk), []
+
+        def spy(outer, inner, *rest):
+            held.append(Partition(outer).contains(inner))
+            return real(outer, inner, *rest)
+
+        monkeypatch.setattr(borderstrips, walk, spy)
+        _mn.cache_clear()
+        _a_count.cache_clear()
+        for m, n in ((1, 6), (2, 3), (3, 2)):
+            for shape in skew_shapes(m * n, 5):
+                for gamma in partitions_of(n):
+                    query(shape, m, gamma)
+        assert len(held) > 10_000 and all(held)

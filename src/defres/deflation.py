@@ -18,8 +18,10 @@ Two independent evaluators are provided on top of the wreath oracle:
   is c-decomposable, and otherwise it is the quotient sign times the LR
   fillings of content kappa of the quotient components
   (``characters.lr_fillings``).  So for c > 1 tau runs over the table
-  ``abacus._cuts`` of lambda's c-abacus, shared by every mu; for c = 1
-  over ``partitions.intermediates``.
+  ``abacus._cuts`` of lambda's c-abacus, shared by every mu.  The
+  1-quotient is the shape itself with sign +1, so a 1-cycle reads the LR
+  fillings directly, without the abacus, and tau runs over
+  ``partitions.intermediates``.
 
 The single-cycle step is written once, in ``_single_cycle``: its memo keys
 on ``_skew_key``, the character's connected components, each unchanged by
@@ -112,8 +114,8 @@ def _canonical(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
 
 
 def _stacked(key: tuple) -> SkewPartition:
-    # a shape with the skew character of key: its components stacked from
-    # the bottom left, each touching the next only at a corner
+    # a shape with the skew character of key, nested by construction so not
+    # re-validated: its components stacked from the bottom left, corner to corner
     outer, inner = [], []
     offset = sum(rows[0][1] for rows in key)
     for rows in reversed(key):
@@ -121,13 +123,16 @@ def _stacked(key: tuple) -> SkewPartition:
         for s, e in rows:
             outer.append(offset + e)
             inner.append(offset + s)
-    return SkewPartition(outer, inner)
+    pair = (tuple.__new__(Partition, outer), tuple.__new__(Partition, filter(None, inner)))
+    return tuple.__new__(SkewPartition, pair)
 
 
 @cache
 def _single_cycle(key: tuple, c: int, kappa: tuple[int, ...]) -> int:
     # deflation through chi^kappa, evaluated at a single c-cycle, of the
-    # skew character with key ``_skew_key``
+    # skew character with key ``_skew_key``; c = 1 reads its rows as shapes
+    if c == 1:
+        return lr_fillings([tuple(zip(*rows))[::-1] for rows in key], kappa)
     shape = _stacked(key)
     if not is_n_decomposable(shape, c):
         return 0
@@ -140,8 +145,8 @@ def _recursive(
     shape: SkewPartition, m: int, kappa: tuple[int, ...], gamma: tuple[int, ...]
 ) -> int:
     # shape is a skew shape or the equal plain pair (outer, inner); gamma
-    # descends, and its first part c is cut off the outer side as outer/tau,
-    # tau from the cut table when c > 1, where it need not contain inner
+    # descends, its first part c cut off the outer side as outer/tau: tau from
+    # the cut table when c > 1, where it may miss inner, else a waistline
     outer, inner = shape
     if not gamma:
         return 1 if outer == inner else 0
@@ -150,9 +155,10 @@ def _recursive(
         return _single_cycle(_skew_key(outer, inner), c, kappa)
     total = 0
     for tau in _cuts(outer, c, m) if c > 1 else intermediates(shape, m * sum(rest)):
-        base = _contains(tau, inner) and _single_cycle(_skew_key(outer, tau), c, kappa)
-        if base:
-            total += base * _recursive((tau, inner), m, kappa, rest)
+        if c == 1 or _contains(tau, inner):
+            base = _single_cycle(_skew_key(outer, tau), c, kappa)
+            if base:
+                total += base * _recursive((tau, inner), m, kappa, rest)
     return total
 
 

@@ -200,20 +200,24 @@ def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
     if c < 0 or target > sum(outer):
         return []
     inner = tuple(inner) + (0,) * (len(outer) - len(inner))
-    # prefixes row by row, in descending lexicographic order, with their
-    # sizes; a prefix stays while the rows below can still bring it to the
-    # target: each holds inner's boxes and at most its own part
+    # prefixes row by row, in descending lexicographic order, with the boxes
+    # still to place; a part lies between inner's and outer's, at most the
+    # one above.  The lower it is, the more the rows below must take and the
+    # less they hold, so the parts that fit form one interval: start where
+    # the rows below keep their inner boxes, stop where they overflow
     low, high = sum(inner), sum(outer)
-    found = [((), 0)]
+    found = [((), target)]
     for i, (lo, hi) in enumerate(zip(inner, outer)):
         low, high = low - lo, high - hi
-        rows_below = len(outer) - 1 - i
-        found = [
-            (prefix + (part,), size + part)
-            for prefix, size in found
-            for part in range(min(hi, prefix[-1]) if prefix else hi, lo - 1, -1)
-            if low <= target - size - part <= min(high, rows_below * part)
-        ]
+        rows = len(outer) - i
+        grown = []
+        for prefix, rest in found:
+            top = prefix[-1] if prefix and prefix[-1] < hi else hi
+            for part in range(top if top < rest - low else rest - low, lo - 1, -1):
+                if rest - part > high or rest > rows * part:
+                    break
+                grown.append((prefix + (part,), rest - part))
+        found = grown
     # a partition inside outer already: drop the empty rows only
     return [tuple.__new__(Partition, filter(None, prefix)) for prefix, _ in found]
 

@@ -61,13 +61,12 @@ def to_permutation(w: WreathElement, m: int, n: int) -> tuple[int, ...]:
     """The permutation of the mn points (i, j) = j*m + i induced by w."""
     if len(w.top) != n or (w.base and len(w.base[0]) != m):
         raise ValueError("element dimensions do not match m, n")
-    img = [0] * (m * n)
-    for j in range(n):
-        jj = w.top[j]
-        h = w.base[jj]
-        for i in range(m):
-            img[j * m + i] = jj * m + h[i]
-    return tuple(img)
+    return _image(w.base, w.top, m)
+
+
+def _image(base, top, m: int) -> tuple[int, ...]:
+    # point j*m + i goes to g(j)*m + h_g(j)(i)
+    return tuple(jj * m + x for jj in top for x in base[jj])
 
 
 def cycle_type(w: WreathElement) -> Partition:
@@ -77,21 +76,23 @@ def cycle_type(w: WreathElement) -> Partition:
 
 def cycle_products(w: WreathElement) -> list[tuple[tuple[int, ...], int]]:
     """(product of base permutations along the cycle, cycle length) pairs."""
-    out = []
-    for cyc in cycles(w.top):
-        h = reduce(lambda acc, x: compose(w.base[x], acc), cyc, identity(len(w.base[0])))
-        out.append((h, len(cyc)))
-    return out
+    return [(_along(w.base, cyc), len(cyc)) for cyc in cycles(w.top)]
+
+
+def _along(base, cyc: tuple[int, ...]) -> tuple[int, ...]:
+    # h_(x_s) ... h_(x_1) along the cycle (x_1, ..., x_s) of the top
+    return reduce(lambda acc, x: compose(base[x], acc), cyc, identity(len(base[0])))
 
 
 def tilde_theta_value(theta, w: WreathElement) -> int:
     """Value at w of the extension of theta to the wreath product."""
     if w.base and len(w.base[0]) != theta.degree:
         raise ValueError("theta must be a class function on the base group")
-    value = 1
-    for h, _ in cycle_products(w):
-        value *= theta(cycle_type_of(h))
-    return value
+    return _tilde_theta(theta, w.base, cycles(w.top))
+
+
+def _tilde_theta(theta, base, top_cycles: list[tuple[int, ...]]) -> int:
+    return prod(theta(cycle_type_of(_along(base, cyc))) for cyc in top_cycles)
 
 
 def omega(shape: SkewPartition, m: int, n: int, alpha) -> int:
@@ -173,11 +174,11 @@ def _oracle_naive(shape, theta, n, g, budget):
         raise BudgetExceeded(
             f"naive oracle needs {factorial(m) ** n} evaluations, budget {budget}"
         )
+    top_cycles = cycles(tuple(g))  # read once, and validates g
     total = 0
     for base in product(list(all_permutations(m)), repeat=n):
-        w = WreathElement(base, tuple(g))
-        psi = mn_value(shape, cycle_type(w))
+        psi = mn_value(shape, cycle_type_of(_image(base, g, m)))
         if psi:
-            total += psi * tilde_theta_value(theta, w)
+            total += psi * _tilde_theta(theta, base, top_cycles)
     assert total % factorial(m) ** n == 0, "oracle average is not integral"
     return total // factorial(m) ** n

@@ -270,24 +270,38 @@ class TestIntermediates:
 
     def test_matches_filter(self):
         # exhaustive: every outer of at most 10 boxes, every inner inside it
-        # and every c one past either end, against filtering the partitions
-        # of the target size (reverse-lexicographic, so the order is checked)
+        # and every c one past either end; then the regime of route 2, long
+        # rows with small removals: outers of 11 to 14 boxes, inners of at
+        # most 2 and c = |outer/inner| - m for m <= 4.  Against filtering
+        # the partitions of the target size (reverse-lexicographic, so the
+        # order is checked)
+        inputs = [
+            (shape, range(-1, size + 2))
+            for size in range(11)
+            for shape in skew_shapes(size, 10 - size)
+        ] + [
+            (SkewPartition(outer, inner), range(n - b - 4, n - b + 1))
+            for n in range(11, 15)
+            for outer in partitions_of(n)
+            for b in range(3)
+            for inner in partitions_of(b)
+            if outer.contains(inner)
+        ]
         cases = 0
-        for size in range(11):
-            for shape in skew_shapes(size, 10 - size):
-                outer, inner = shape
-                for c in range(-1, size + 2):
-                    got = intermediates(shape, c)
-                    want = [] if c < 0 else [
-                        t
-                        for t in partitions_of(inner.size + c)
-                        if outer.contains(t) and t.contains(inner)
-                    ]
-                    assert got == want, (outer, inner, c)
-                    assert all(type(t) is Partition for t in got)
-                    assert intermediates((tuple(outer), tuple(inner)), c) == got
-                    cases += 1
-        assert cases == 20288
+        for shape, cs in inputs:
+            outer, inner = shape
+            for c in cs:
+                got = intermediates(shape, c)
+                want = [] if c < 0 else [
+                    t
+                    for t in partitions_of(inner.size + c)
+                    if outer.contains(t) and t.contains(inner)
+                ]
+                assert got == want, (outer, inner, c)
+                assert all(type(t) is Partition for t in got)
+                assert intermediates((tuple(outer), tuple(inner)), c) == got
+                cases += 1
+        assert cases == 20288 + 7340
 
     def test_many_rows(self):
         # one loop over the rows: 5000 of them need no recursion depth

@@ -24,8 +24,11 @@ Decomposability, the quotient components, the relabelling and the sign all
 come from one pass over the paired displays, ``_quotient``, keyed on the
 skew shape and n; it keeps its last result, so ``is_n_decomposable``
 followed by ``n_quotient`` reads a shape's abacus once, on ordered bead
-lists.  ``display`` draws an ``AbacusDisplay`` for callers and printing;
-like the shapes, it is a tuple, the pair ``(runners, beads)``.
+lists.  ``_cuts`` lists, from lambda's display alone, every entry
+(tau, sign, key) with lambda/tau n-decomposable of a given size: tau comes
+with its quotient's sign and components key (``partitions._skew_key``).
+``display`` draws an ``AbacusDisplay`` for callers and printing; like the
+shapes, it is a tuple, the pair ``(runners, beads)``.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from functools import cache, lru_cache
 from operator import itemgetter
 
 from .borderstrips import BorderStripTableau
-from .partitions import Partition, SkewPartition, intermediates
-from .perms import parity
+from .partitions import Partition, SkewPartition, _skew_key, intermediates
 
 
 def _beads(parts: tuple[int, ...], nbeads: int) -> list[int]:
@@ -175,6 +177,18 @@ def _runner_partitions(side: list[list[tuple[int, int]]]) -> list[Partition]:
     return [_partition_of_betas([row for _, row in beads]) for beads in side]
 
 
+def _sorting_sign(beads) -> int:
+    # the parity of the permutation sorting distinct beads, read without
+    # validation: -1 to the number of swaps that put each entry in its place
+    order = sorted(range(len(beads)), key=beads.__getitem__)
+    sign = 1
+    for i in range(len(order)):
+        while (j := order[i]) != i:
+            order[i], order[j] = order[j], j
+            sign = -sign
+    return sign
+
+
 @lru_cache(maxsize=1)
 def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
     # The one pass over the paired displays (equal bead counts, sized from
@@ -194,32 +208,44 @@ def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
                 return None
             rho[k] = l
     components = tuple(map(SkewPartition, *map(_runner_partitions, runners)))
-    return QuotientData(components, tuple(r + 1 for r in rho), parity(tuple(rho)))
+    return QuotientData(components, tuple(r + 1 for r in rho), _sorting_sign(rho))
 
 
 @cache
-def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[Partition, ...]:
-    # Every tau with outer/tau n-decomposable of m*n boxes: each runner
-    # partition of outer loses a sub-diagram, m boxes in all.  Runners
-    # without boxes keep their beads; over the rest, a partial cut (tau's
-    # beads so far, boxes cut) stays while the runners after it can make up m.
+def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[Partition, int, tuple], ...]:
+    # Every (tau, sign, key) with outer/tau n-decomposable of m*n boxes: each
+    # runner partition lambda^(i) loses a sub-diagram rho_i, m boxes in all;
+    # sign is the relabelling parity (both sides' beads listed alike) and key
+    # the sorted _skew_key(lambda^(i), rho_i).  Runners without boxes keep their
+    # beads; over the rest, a partial cut (beads, boxes cut, key) stays while
+    # the runners after it can make up m.  A runner lists (lifted beads, key)
+    # once per admitted size of cut.
     runners = _runners(outer, n, n * _bead_rows(len(outer), n))
     parts = _runner_partitions(runners)
-    kept = [i + n * y for i, part in enumerate(parts) if not part for _, y in runners[i]]
+    kept = tuple(i + n * y for i, part in enumerate(parts) if not part for _, y in runners[i])
+    moved = tuple(i + n * y for i, part in enumerate(parts) if part for _, y in runners[i])
+    sign = _sorting_sign(kept + moved)
     room = sum(map(sum, parts))
-    found = [((), 0)]
+    found = [(kept, 0, ())]
     for i, (beads, part) in enumerate(zip(runners, parts)):
         if not part:
             continue
         size = sum(part)
         room -= size
-        found = [
-            (lifted + tuple(i + n * y for y in _beads(rho, len(beads))), cut + k)
-            for lifted, cut in found
-            for k in range(max(0, m - cut - room), min(size, m - cut) + 1)
-            for rho in intermediates((part, ()), size - k)
-        ]
-    return tuple(_partition_of_betas(kept + list(lifted)) for lifted, cut in found if cut == m)
+        options: dict[int, list] = {}
+        grown = []
+        for lifted, cut, key in found:
+            for k in range(max(0, m - cut - room), min(size, m - cut) + 1):
+                if k not in options:
+                    rhos = intermediates((part, ()), size - k)
+                    ups = [tuple([i + n * y for y in _beads(rho, len(beads))]) for rho in rhos]
+                    options[k] = list(zip(ups, [_skew_key(part, rho) for rho in rhos]))
+                grown += [(lifted + up, cut + k, key + comps) for up, comps in options[k]]
+        found = grown
+    return tuple(
+        (_partition_of_betas(lifted), sign * _sorting_sign(lifted), tuple(sorted(key)))
+        for lifted, cut, key in found if cut == m
+    )
 
 
 def _check_runners(shape: SkewPartition, n: int) -> None:

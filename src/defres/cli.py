@@ -10,7 +10,8 @@ Shapes and types use the text grammar of :mod:`defres.partitions`.  With
 ``--format json`` each command prints a single JSON object with sorted
 keys, so parsing and re-rendering the output is byte-identical.
 
-Exit codes: 0 success, 1 precondition violation (and failed verification,
+Exit codes: 0 success, 1 precondition violation (among them ``quotient`` or
+``farahat`` with n above max(|outer|, 1) runners; and failed verification,
 an input too deep for the recursion limit: one level per part of gamma or
 cell of the quotient, and stdout closed by the reader before the output was
 written), 2 unparsable arguments, 3 oracle budget exceeded.
@@ -130,8 +131,15 @@ def _cmd_tableaux(args) -> tuple[str, dict]:
     return "\n\n".join(blocks), payload
 
 
+def _check_runner_count(shape: SkewPartition, n: int) -> None:
+    # n divides |outer/inner| <= |outer|: only a shape without boxes exceeds this
+    if n > (limit := max(shape.outer.size, 1)):
+        raise ValueError(f"n = {n} exceeds the runner limit max(|{shape.outer}|, 1) = {limit}")
+
+
 def _cmd_quotient(args) -> tuple[str, dict]:
     shape: SkewPartition = args.shape
+    _check_runner_count(shape, args.n)
     quotient = n_quotient(shape, args.n)
     d_outer = display(shape.outer, args.n)
     d_inner = display(shape.inner, args.n, rows=d_outer.bead_count // args.n)
@@ -157,6 +165,7 @@ def _cmd_quotient(args) -> tuple[str, dict]:
 
 
 def _cmd_farahat(args) -> tuple[str, dict]:
+    _check_runner_count(args.shape, args.n)
     lhs, rhs = farahat_check(args.shape, args.n, args.alpha)
     agree = lhs == rhs
     text = f"lhs: {lhs}\nrhs: {rhs}\nagree: {str(agree).lower()}"

@@ -18,17 +18,18 @@ Two independent evaluators are provided on top of the wreath oracle:
   is c-decomposable, and otherwise it is the quotient sign times the LR
   fillings of content kappa of the quotient components
   (``characters.lr_fillings``).  So for c > 1 tau runs over the table
-  ``abacus._cuts`` of lambda's c-abacus, shared by every mu.  The
+  ``abacus._cuts`` of lambda's c-abacus, shared by every mu, whose entries
+  (tau, sign, key) carry the quotient sign and components key of
+  lambda/tau: the walk reads the abacus only for gamma's last part.  The
   1-quotient is the shape itself with sign +1, so a 1-cycle reads the LR
-  fillings directly, without the abacus, and tau runs over
-  ``partitions.intermediates``.
+  fillings directly, and tau runs over ``partitions.intermediates``.
 
-The single-cycle step is written once, in ``_single_cycle``: its memo keys
-on ``_skew_key``, the character's connected components, each unchanged by
-translation and a 180 degree rotation (Macdonald, I.5), and it computes on
-one representative shape.  ``_recursive`` keys its memo on the lower half
-as the plain pair (tau, mu).  ``farahat_check`` shares the quotient step,
-and ``ncycle_vanishing`` is the step itself on a straight shape.
+The LR count is written once, in ``_single_cycle``: its memo keys on
+``partitions._skew_key`` (re-exported here), the connected components,
+each unchanged by translation and a 180 degree rotation (Macdonald, I.5).
+``_cycle_value`` is the single-cycle step of the last part and of
+``ncycle_vanishing``.  ``_recursive`` keys its memo on the lower half as
+the plain pair (tau, mu).  ``farahat_check`` shares the quotient step.
 
 ``defres_sign`` and ``defres_degree`` are the closed forms for the sign
 character and the degree.
@@ -38,12 +39,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import zip_longest
 
 from .abacus import _cuts, is_n_decomposable, n_quotient
 from .borderstrips import a_coefficient, mn_value
 from .characters import _induced, lr_coefficient, lr_fillings, skew_character
-from .partitions import Composition, Partition, SkewPartition, _contains, intermediates, stretch
+from .partitions import (
+    Composition, Partition, SkewPartition, _contains, _skew_key, intermediates, stretch
+)
 
 
 @dataclass(frozen=True)
@@ -85,59 +87,24 @@ def defres_theorem(query: DeflationQuery) -> int:
     return a_coefficient(query.shape, query.m, query.gamma)
 
 
-def _skew_key(outer, inner) -> tuple:
-    # The skew character of outer/inner as its sorted connected components.
-    # A component is the (start, end) columns of its rows, shifted so that
-    # its last row starts at column 0, or its 180 degree rotation if that is
-    # smaller.  Non-empty rows touch iff the upper starts before the lower ends.
-    comps = []
-    rows: list[tuple[int, int]] = []
-    for end, start in zip_longest(outer, inner, fillvalue=0):
-        if start == end:
-            continue
-        if rows and rows[-1][0] >= end:
-            comps.append(_canonical(rows))
-            rows = []
-        rows.append((start, end))
-    if rows:
-        comps.append(_canonical(rows))
-    comps.sort()
-    return tuple(comps)
-
-
-def _canonical(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    z = rows[-1][0]
-    w = rows[0][1] - z
-    shifted = tuple([(s - z, e - z) for s, e in rows])
-    rotated = tuple([(w - e, w - s) for s, e in reversed(shifted)])
-    return shifted if shifted <= rotated else rotated
-
-
-def _stacked(key: tuple) -> SkewPartition:
-    # a shape with the skew character of key, nested by construction so not
-    # re-validated: its components stacked from the bottom left, corner to corner
-    outer, inner = [], []
-    offset = sum(rows[0][1] for rows in key)
-    for rows in reversed(key):
-        offset -= rows[0][1]
-        for s, e in rows:
-            outer.append(offset + e)
-            inner.append(offset + s)
-    pair = (tuple.__new__(Partition, outer), tuple.__new__(Partition, filter(None, inner)))
-    return tuple.__new__(SkewPartition, pair)
-
-
 @cache
-def _single_cycle(key: tuple, c: int, kappa: tuple[int, ...]) -> int:
-    # deflation through chi^kappa, evaluated at a single c-cycle, of the
-    # skew character with key ``_skew_key``; c = 1 reads its rows as shapes
+def _single_cycle(key: tuple, kappa: tuple[int, ...]) -> int:
+    # the LR fillings of content kappa of the components in a ``_skew_key``,
+    # each row list read back as the pair (ends, starts)
+    return lr_fillings([tuple(zip(*rows))[::-1] for rows in key], kappa)
+
+
+def _cycle_value(outer, inner, c: int, kappa: tuple[int, ...]) -> int:
+    # deflation through chi^kappa of outer/inner at a single c-cycle: the
+    # shape itself when c = 1, else 0 or the sign times its c-quotient's value
     if c == 1:
-        return lr_fillings([tuple(zip(*rows))[::-1] for rows in key], kappa)
-    shape = _stacked(key)
+        return _single_cycle(_skew_key(outer, inner), kappa)
+    shape = SkewPartition(outer, inner)
     if not is_n_decomposable(shape, c):
         return 0
     quotient = n_quotient(shape, c)
-    return quotient.sign * lr_fillings(quotient.components, kappa)
+    key = sorted([comp for part in quotient.components for comp in _skew_key(*part)])
+    return quotient.sign * _single_cycle(tuple(key), kappa)
 
 
 @cache
@@ -146,19 +113,24 @@ def _recursive(
 ) -> int:
     # shape is a skew shape or the equal plain pair (outer, inner); gamma
     # descends, its first part c cut off the outer side as outer/tau: tau from
-    # the cut table when c > 1, where it may miss inner, else a waistline
+    # the cut table when c > 1, where it may miss inner, else a waistline of
+    # sign +1 keyed on outer/tau itself
     outer, inner = shape
     if not gamma:
         return 1 if outer == inner else 0
     c, rest = gamma[0], gamma[1:]
     if not rest:
-        return _single_cycle(_skew_key(outer, inner), c, kappa)
+        return _cycle_value(outer, inner, c, kappa)
+    if c == 1:
+        cuts = ((tau, 1, _skew_key(outer, tau)) for tau in intermediates(shape, m * sum(rest)))
+    else:
+        cuts = _cuts(outer, c, m)
     total = 0
-    for tau in _cuts(outer, c, m) if c > 1 else intermediates(shape, m * sum(rest)):
+    for tau, sign, key in cuts:
         if c == 1 or _contains(tau, inner):
-            base = _single_cycle(_skew_key(outer, tau), c, kappa)
+            base = _single_cycle(key, kappa)
             if base:
-                total += base * _recursive((tau, inner), m, kappa, rest)
+                total += sign * base * _recursive((tau, inner), m, kappa, rest)
     return total
 
 
@@ -234,4 +206,4 @@ def ncycle_vanishing(lam, kappa, n: int) -> int:
     kappa = Partition(kappa)
     if n < 1 or lam.size != kappa.size * n:
         raise ValueError("need n >= 1 and |lam| = |kappa| * n")
-    return _single_cycle(_skew_key(lam, ()), n, kappa)
+    return _cycle_value(lam, (), n, kappa)

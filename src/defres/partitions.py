@@ -20,11 +20,15 @@ Canonical orders are fixed so enumerations are reproducible:
   e.g. (4), (3,1), (2,2), (2,1,1), (1,1,1,1);
 * ``intermediates(shape, c)`` lists partitions in descending
   lexicographic order.
+
+``_skew_key``, a skew character's sorted connected components, keys the
+abacus cut table and the deflation memo alike.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import zip_longest
 from math import factorial
 from operator import itemgetter, le
 from typing import Iterable, Iterator
@@ -220,6 +224,36 @@ def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
         found = grown
     # a partition inside outer already: drop the empty rows only
     return [tuple.__new__(Partition, filter(None, prefix)) for prefix, _ in found]
+
+
+def _skew_key(outer, inner) -> tuple:
+    # The skew character of outer/inner as its sorted connected components.
+    # A component is the (start, end) columns of its rows, shifted so that
+    # its last row starts at column 0, or its 180 degree rotation if that is
+    # smaller.  Non-empty rows touch iff the upper starts before the lower ends.
+    comps = []
+    rows: list[tuple[int, int]] = []
+    for end, start in zip_longest(outer, inner, fillvalue=0):
+        if start == end:
+            continue
+        if rows and rows[-1][0] >= end:
+            comps.append(_canonical(rows))
+            rows = []
+        rows.append((start, end))
+    if rows:
+        comps.append(_canonical(rows))
+    comps.sort()
+    return tuple(comps)
+
+
+def _canonical(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    if len(rows) == 1:  # a row is its own rotation
+        return ((0, rows[0][1] - rows[0][0]),)
+    z = rows[-1][0]
+    w = rows[0][1] - z
+    shifted = tuple([(s - z, e - z) for s, e in rows])
+    rotated = tuple([(w - e, w - s) for s, e in reversed(shifted)])
+    return shifted if shifted <= rotated else rotated
 
 
 def skew_shapes(total: int, inner_max: int) -> Iterator[SkewPartition]:

@@ -26,6 +26,7 @@ from defres import (
     unique_cycle_tableau,
 )
 from defres.abacus import _cuts
+from defres.partitions import _skew_key
 from defres.perms import parity
 
 from conftest import boxes, partitions
@@ -179,13 +180,15 @@ class TestIsNDecomposable:
 
 class TestCuts:
     def test_lists_exactly_the_decomposable_cuts(self):
-        # the cut table of lambda against the filter over every waistline
+        # the cut table of lambda against the filter over every waistline;
+        # each entry carries the quotient's sign and its sorted components key
         checked = listed = 0
         for size in range(13):
             for lam in partitions_of(size):
                 for c in range(2, 7):
                     for m in range(1, size // c + 1):
-                        got = _cuts(lam.parts, c, m)
+                        table = _cuts(lam.parts, c, m)
+                        got = [tau for tau, _, _ in table]
                         want = [
                             tau
                             for tau in intermediates((lam, ()), size - m * c)
@@ -193,6 +196,11 @@ class TestCuts:
                         ]
                         assert sorted(got) == sorted(want), (lam, c, m)
                         assert len(set(got)) == len(got), (lam, c, m)
+                        for tau, sign, key in table:
+                            quotient = n_quotient(SkewPartition(lam, tau), c)
+                            assert sign == quotient.sign, (lam, tau, c)
+                            comps = [k for comp in quotient.components for k in _skew_key(*comp)]
+                            assert key == tuple(sorted(comps)), (lam, tau, c)
                         checked += 1
                         listed += len(got)
         assert (checked, listed) == (3404, 4316)
@@ -202,10 +210,10 @@ class TestCuts:
         # they are, so the cut costs one read of the display
         _cuts.cache_clear()
         start = time.perf_counter()
-        got = _cuts((60000,), 30000, 1)
+        ((tau, sign, key),) = _cuts((60000,), 30000, 1)
         assert time.perf_counter() - start < 1
-        assert got == (Partition((30000,)),)
-        assert type(got[0]) is Partition
+        assert (tau, sign, key) == ((30000,), 1, (((0, 1),),))
+        assert type(tau) is Partition
 
 
 class TestNQuotient:

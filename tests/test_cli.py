@@ -275,6 +275,30 @@ class TestQuotient:
         assert err.startswith("error:")
 
 
+class TestRunnerLimit:
+    # a shape without boxes passes the divisibility check for any n, so n
+    # above max(|outer|, 1) is refused before n runners are drawn
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("quotient", "--shape", "-", "--n", "100000000000"),
+            ("farahat", "--shape", "-", "--n", "100000000000", "--alpha", "-"),
+            ("quotient", "--shape", "-/-", "--n", "3000000"),
+        ],
+    )
+    def test_too_many_runners_exits_1(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_one_runner_on_the_empty_shape(self, capsys):
+        code, payload = run_json(capsys, "quotient", "--shape", "-", "--n", "1")
+        assert code == 0
+        assert payload["components"] == ["-/-"]
+
+
 class TestFarahat:
     def test_worked_example(self, capsys):
         code, out, err = run(

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import pkgutil
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,8 +33,9 @@ from defres import (
     skew_shapes,
     stretch,
 )
+from defres import abacus
 from defres.abacus import _cuts
-from defres.deflation import _recursive, _single_cycle, _skew_key, _stacked
+from defres.deflation import _cycle_value, _recursive, _single_cycle, _skew_key
 from defres.perms import with_cycle_type
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))
@@ -229,12 +231,11 @@ def key_sweep():
 
 
 class TestSkewKey:
-    def test_stacked_shape_has_the_skew_character(self):
+    def test_one_key_one_character(self):
         by_key = {}
         for shape in key_sweep():
             key = _skew_key(*shape)
             chi = skew_character(shape)
-            assert skew_character(_stacked(key)) == chi, shape
             assert by_key.setdefault(key, chi) == chi, shape
         # 898 shapes, 373 keys and 372 characters: 4,3,2,1/2 and
         # 4,3,2,1/1,1 share a character but no rotation relates them
@@ -269,7 +270,6 @@ class TestSingleCycleClassTable:
         # pins the branch that reads LR fillings without the abacus
         count = 0
         for shape in key_sweep():
-            key = _skew_key(*shape)
             for c in range(1, shape.size + 1):
                 if shape.size % c:
                     continue
@@ -285,14 +285,15 @@ class TestSingleCycleClassTable:
                         chi = irreducible_character(kappa)
                         want[kappa] = quotient.sign * inner_product(chi, induced)
                 for kappa, value in want.items():
-                    assert _single_cycle(key, c, kappa) == value, (shape, c, kappa)
+                    assert _cycle_value(*shape, c, kappa) == value, (shape, c, kappa)
                     count += 1
         assert count == 16034
 
 
 class TestSingleCycleMemo:
     def test_cold_query_computes_each_character_once(self):
-        # 1,209 single-cycle values with 100 distinct skew characters
+        # 1,209 single-cycle values; keyed on the quotient components they
+        # need 6 LR counts
         shape = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
         gamma = (4, 3, 2, 1, 1, 1)
         _single_cycle.cache_clear()
@@ -302,6 +303,25 @@ class TestSingleCycleMemo:
         assert _single_cycle.cache_info().misses <= 1000
         theta = irreducible_character((2, 1))
         assert got == oracle_defres(shape, theta, 12, with_cycle_type(gamma, 12))
+
+    def test_only_the_last_cycle_reads_the_abacus(self, monkeypatch):
+        # the cut table carries each waistline's sign and key, so the walk
+        # reads quotients only for the last part of gamma: none when it is 1
+        callers = []
+        read = abacus._quotient
+
+        def spy(shape, n):
+            callers.append(sys._getframe(2).f_code.co_name)
+            return read(shape, n)
+
+        monkeypatch.setattr(abacus, "_quotient", spy)
+        for memo in (_single_cycle, _recursive, _cuts, read):
+            memo.cache_clear()
+        shape = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
+        defres_recursive(query(shape, 3, (2, 1), (4, 3, 2, 1, 1, 1)))
+        assert set(callers) <= {"_cycle_value"}, set(callers)
+        defres_recursive(query(shape, 3, (2, 1), (4, 4, 2, 2)))
+        assert callers and set(callers) == {"_cycle_value"}, set(callers)
 
     def test_non_zero_value_at_m_n_18(self):
         shape = SkewPartition((8, 6, 4, 2), (2,))

@@ -9,21 +9,16 @@ from .abacus import (
     AbacusDisplay,
     QuotientData,
     display,
-    is_horizontal_strip,
     is_n_decomposable,
-    n_core,
     n_quotient,
     quotient_bijection,
-    unique_cycle_tableau,
 )
 from .borderstrips import (
     BorderStripTableau,
     StripMeta,
     a_coefficient,
     enumerate_m_bst,
-    is_border_strip,
     mn_value,
-    strip_meta,
 )
 from .characters import (
     ClassFunction,
@@ -57,8 +52,6 @@ from .wreath import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     WreathElement,
-    cycle_products,
-    cycle_type,
     omega,
     oracle_defres,
     tilde_theta_value,
@@ -80,8 +73,6 @@ __all__ = [
     "WreathElement",
     "a_coefficient",
     "centralizer_order",
-    "cycle_products",
-    "cycle_type",
     "defres_degree",
     "defres_recursive",
     "defres_sign",
@@ -93,12 +84,9 @@ __all__ = [
     "inner_product",
     "intermediates",
     "irreducible_character",
-    "is_border_strip",
-    "is_horizontal_strip",
     "is_n_decomposable",
     "lr_coefficient",
     "mn_value",
-    "n_core",
     "n_quotient",
     "ncycle_vanishing",
     "omega",
@@ -111,7 +99,6 @@ __all__ = [
     "stretch",
     "tilde_theta_value",
     "to_permutation",
-    "unique_cycle_tableau",
 ]
 
 __version__ = "0.1.0"

@@ -6,8 +6,6 @@ position q sits on runner q mod n at row q div n.  Removing a border strip
 of n boxes is exactly moving one bead up one row on its own runner, so all
 strip-related structure can be read off the display:
 
-* the n-core is reached by pushing every bead as far up its runner as it
-  will go;
 * the n-quotient collects, runner by runner, the partition encoded by the
   bead rows;
 * a skew shape lambda/mu is n-decomposable when both displays (drawn with
@@ -33,9 +31,9 @@ shapes, it is a tuple, the pair ``(runners, beads)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .borderstrips import BorderStripTableau
 from .partitions import Partition, SkewPartition, _skew_key, intermediates
@@ -138,18 +136,7 @@ def display(p, n: int, rows: int | None = None) -> AbacusDisplay:
     return AbacusDisplay(n, _beads(p, t * n))
 
 
-def n_core(p, n: int) -> Partition:
-    """Push every bead to the top of its runner and read off the partition."""
-    p = Partition(p)
-    if n < 1:
-        raise ValueError("need at least one runner")
-    side = _runners(p, n, n * _bead_rows(len(p), n))
-    core = [i + n * r for i, beads in enumerate(side) for r in range(len(beads))]
-    return _partition_of_betas(core)
-
-
-@dataclass(frozen=True)
-class QuotientData:
+class QuotientData(NamedTuple):
     """The n-quotient of a skew shape together with its sign.
 
     ``components[i]`` is the skew shape cut out on runner i; ``relabelling``
@@ -273,51 +260,6 @@ def n_quotient(shape: SkewPartition, n: int) -> QuotientData:
     if quotient is None:
         raise ValueError(f"{shape} is not {n}-decomposable")
     return quotient
-
-
-def is_horizontal_strip(shape: SkewPartition) -> bool:
-    """True when no column of the skew shape holds two boxes."""
-    outer, inner = shape.outer, shape.inner
-    return all(
-        outer.part(r + 1) <= inner.part(r) for r in range(1, len(outer))
-    )
-
-
-def unique_cycle_tableau(
-    shape: SkewPartition, m: int, n: int
-) -> tuple[BorderStripTableau, int] | None:
-    """The unique m-strip tableau of type (n), when it exists.
-
-    Returns None unless shape is n-decomposable with every quotient
-    component a horizontal strip; in that case there is exactly one
-    m-border-strip tableau of shape lambda/mu and type (n), built here by
-    repeatedly lifting the lowest liftable bead, and its sign is the
-    quotient sign.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be at least 1")
-    if shape.size != m * n:
-        raise ValueError(f"|{shape}| = {shape.size} must equal m * n = {m * n}")
-    quotient = _quotient(shape, n)
-    if quotient is None or any(
-        not is_horizontal_strip(c) for c in quotient.components
-    ):
-        return None
-    nbeads = n * _bead_rows(len(shape.outer), n)
-    current = set(_beads(shape.outer, nbeads))
-    inner = set(_beads(shape.inner, nbeads))
-    chain = [_partition_of_betas(current)]
-    for _ in range(m):
-        pos = max(current - inner)
-        target = pos - n
-        if target < 0 or target in current:
-            raise RuntimeError("bead lift blocked; quotient invariant broken")
-        current.remove(pos)
-        current.add(target)
-        chain.append(_partition_of_betas(current))
-    if current != inner:
-        raise RuntimeError("bead lifts did not reach the inner display")
-    return BorderStripTableau(reversed(chain)), quotient.sign
 
 
 def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau]:

@@ -98,7 +98,7 @@ def _strip_additions(mu: tuple[int, ...], c: int) -> _Strips:
 
 
 # ---------------------------------------------------------------------------
-# strip predicates and metadata
+# strip metadata
 
 
 class StripMeta(NamedTuple):
@@ -114,23 +114,6 @@ def _strip(hi: tuple[int, ...], lo: tuple[int, ...]) -> StripMeta | None:
         if tau == lo:
             return StripMeta(c, height, top_row)
     return None
-
-
-def is_border_strip(shape: SkewPartition) -> bool:
-    """True when the skew shape is edge-connected with no 2x2 square.
-
-    That is one bead move: the inner shape is the outer one less a strip of
-    ``size`` boxes.  The empty shape does not count as a border strip.
-    """
-    return _strip(shape.outer, shape.inner) is not None
-
-
-def strip_meta(shape: SkewPartition) -> StripMeta:
-    """Length, height (occupied rows minus one) and topmost occupied row."""
-    meta = _strip(shape.outer, shape.inner)
-    if meta is None:
-        raise ValueError(f"{shape} is not a border strip")
-    return meta
 
 
 # ---------------------------------------------------------------------------

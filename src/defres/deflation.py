@@ -37,7 +37,7 @@ character and the degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 
 from .abacus import _cuts, is_n_decomposable, n_quotient
@@ -48,8 +48,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class DeflationQuery:
+class DeflationQuery(namedtuple("DeflationQuery", "shape m n theta gamma")):
     """A deflation instance: which character, through what, evaluated where.
 
     ``shape`` is the skew shape of the restricted character, ``theta`` the
@@ -57,27 +56,22 @@ class DeflationQuery:
     cycle type in S_n at which to evaluate.
     """
 
-    shape: SkewPartition
-    m: int
-    n: int
-    theta: Partition
-    gamma: Composition
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(
+        cls, shape: SkewPartition, m: int, n: int, theta: Partition, gamma: Composition
+    ):
+        if m < 1:
             raise ValueError("m must be at least 1")
-        if self.n < 0:
+        if n < 0:
             raise ValueError("n must be non-negative")
-        if self.theta.size != self.m:
-            raise ValueError(f"|theta| = {self.theta.size} must equal m = {self.m}")
-        if self.shape.size != self.m * self.n:
-            raise ValueError(
-                f"|shape| = {self.shape.size} must equal m * n = {self.m * self.n}"
-            )
-        if self.gamma.size != self.n:
-            raise ValueError(
-                f"|gamma| = {self.gamma.size} must equal n = {self.n}"
-            )
+        if theta.size != m:
+            raise ValueError(f"|theta| = {theta.size} must equal m = {m}")
+        if shape.size != m * n:
+            raise ValueError(f"|shape| = {shape.size} must equal m * n = {m * n}")
+        if gamma.size != n:
+            raise ValueError(f"|gamma| = {gamma.size} must equal n = {n}")
+        return super().__new__(cls, shape, m, n, theta, gamma)
 
 
 def defres_theorem(query: DeflationQuery) -> int:

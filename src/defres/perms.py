@@ -48,11 +48,6 @@ def cycle_type_of(p: tuple[int, ...]) -> Partition:
     return tuple.__new__(Partition, sorted(map(len, cycles(p)), reverse=True))
 
 
-def parity(p: tuple[int, ...]) -> int:
-    """The sign of the permutation: -1 to the number of even-length cycles."""
-    return (-1) ** (len(p) - len(cycles(p)))
-
-
 def with_cycle_type(parts, n: int) -> tuple[int, ...]:
     """A canonical permutation of {0..n-1} with the given cycle type."""
     parts = tuple(parts)

@@ -24,8 +24,7 @@ prod_s C(p(m) + k_s - 1, k_s) class multisets or the (m!)^n base tuples.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cache, reduce
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
@@ -41,20 +40,20 @@ class BudgetExceeded(RuntimeError):
     """Raised when an oracle would exceed its evaluation budget."""
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(namedtuple("WreathElement", "base top")):
     """A base tuple of permutations of {0..m-1} and a top permutation."""
 
-    base: tuple[tuple[int, ...], ...]
-    top: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.base) != len(self.top):
+    def __new__(cls, base: tuple[tuple[int, ...], ...], top: tuple[int, ...]):
+        self = super().__new__(cls, base, top)
+        if len(base) != len(top):
             raise ValueError("need one base permutation per top point")
-        if self.base and len({len(h) for h in self.base}) != 1:
+        if base and len({len(h) for h in base}) != 1:
             raise ValueError("base permutations must act on a common set")
-        if any(sorted(p) != list(range(len(p))) for p in (self.top, *self.base)):
+        if any(sorted(p) != list(range(len(p))) for p in (top, *base)):
             raise ValueError(f"a base or top tuple of {self} is not a permutation")
+        return self
 
 
 def to_permutation(w: WreathElement, m: int, n: int) -> tuple[int, ...]:
@@ -67,16 +66,6 @@ def to_permutation(w: WreathElement, m: int, n: int) -> tuple[int, ...]:
 def _image(base, top, m: int) -> tuple[int, ...]:
     # point j*m + i goes to g(j)*m + h_g(j)(i)
     return tuple(jj * m + x for jj in top for x in base[jj])
-
-
-def cycle_type(w: WreathElement) -> Partition:
-    m = len(w.base[0]) if w.base else 0
-    return cycle_type_of(to_permutation(w, m, len(w.top)))
-
-
-def cycle_products(w: WreathElement) -> list[tuple[tuple[int, ...], int]]:
-    """(product of base permutations along the cycle, cycle length) pairs."""
-    return [(_along(w.base, cyc), len(cyc)) for cyc in cycles(w.top)]
 
 
 def _along(base, cyc: tuple[int, ...]) -> tuple[int, ...]:

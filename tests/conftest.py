@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import hypothesis.strategies as st
 
 from defres import Partition, SkewPartition
@@ -41,6 +43,41 @@ def boxes(shape):
         for r, hi in enumerate(outer, start=1)
         for c in range(inner.part(r) + 1, hi + 1)
     ]
+
+
+def horizontal(shape):
+    """No two boxes of the skew shape share a column."""
+    cols = [c for _, c in boxes(shape)]
+    return len(cols) == len(set(cols))
+
+
+def strip_oracle(shape):
+    """Border strip test straight from the definition, on the box set."""
+    cells = set(boxes(shape))
+    if not cells:
+        return False
+    for r, c in cells:
+        if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells:
+            return False
+    seen = set()
+    stack = [next(iter(cells))]
+    while stack:
+        b = stack.pop()
+        if b in seen:
+            continue
+        seen.add(b)
+        r, c = b
+        stack.extend(
+            x
+            for x in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1))
+            if x in cells and x not in seen
+        )
+    return seen == cells
+
+
+def parity(p):
+    """The sign of a permutation: -1 to the number of inversions."""
+    return (-1) ** sum(p[i] > p[j] for i, j in combinations(range(len(p)), 2))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -14,22 +14,17 @@ from defres import (
     display,
     enumerate_m_bst,
     intermediates,
-    is_border_strip,
-    is_horizontal_strip,
     is_n_decomposable,
-    n_core,
     n_quotient,
     partitions_of,
     quotient_bijection,
     skew_shapes,
     stretch,
-    unique_cycle_tableau,
 )
 from defres.abacus import _cuts
 from defres.partitions import _skew_key
-from defres.perms import parity
 
-from conftest import boxes, partitions
+from conftest import horizontal, parity, partitions, strip_oracle
 
 BIG_OUTER = Partition((8, 5, 3, 2, 2, 2))
 BIG_INNER = Partition((2, 2, 1, 1, 1))
@@ -54,7 +49,7 @@ def strip_down_cores(p, n):
     taus = [
         tau
         for tau in intermediates(SkewPartition(p), p.size - n)
-        if is_border_strip(SkewPartition(p, tau))
+        if strip_oracle(SkewPartition(p, tau))
     ]
     if not taus:
         return {p}
@@ -127,34 +122,6 @@ class TestDisplay:
         # 40,000 beads, 39,999 of them zero parts; read in one pass
         start = time.perf_counter()
         assert display((1,), 40000).partition() == (1,)
-        assert time.perf_counter() - start < 1
-
-
-class TestNCore:
-    def test_fixtures(self):
-        assert n_core(BIG_OUTER, 3) == Partition((1,))
-        assert n_core((2, 1), 2) == Partition((2, 1))
-        assert n_core((3,), 3) == Partition()
-        assert n_core(Partition(), 4) == Partition()
-
-    def test_matches_repeated_strip_removal(self):
-        # removing n-strips in any order terminates at the same partition
-        for r in range(0, 8):
-            for p in partitions_of(r):
-                for n in (2, 3):
-                    reached = strip_down_cores(p, n)
-                    assert reached == {n_core(p, n)}, (p, n)
-
-    def test_core_is_fixed_point(self):
-        for r in range(0, 9):
-            for p in partitions_of(r):
-                for n in (2, 3, 4):
-                    assert n_core(n_core(p, n), n) == n_core(p, n)
-
-    def test_many_runners_counted_once(self):
-        # each runner's beads are counted off one read of the display
-        start = time.perf_counter()
-        assert n_core((1,), 20000) == (1,)
         assert time.perf_counter() - start < 1
 
 
@@ -265,7 +232,7 @@ class TestNQuotient:
                         continue
                     shape = SkewPartition(p)
                     assert is_n_decomposable(shape, n) == (
-                        n_core(p, n) == Partition()
+                        strip_down_cores(p, n) == {Partition()}
                     )
 
     def test_stable_under_extra_display_rows(self):
@@ -305,50 +272,33 @@ class TestNQuotient:
                     assert sgn == q.sign
 
 
-class TestIsHorizontalStrip:
-    def test_fixtures(self):
-        assert is_horizontal_strip(SkewPartition((3,)))
-        assert is_horizontal_strip(SkewPartition((3, 1), (1, 1)))
-        assert not is_horizontal_strip(SkewPartition((1, 1)))
-        assert is_horizontal_strip(SkewPartition(()))
-        assert is_horizontal_strip(SkewPartition((2, 2), (2,)))
-
-    def test_matches_column_count(self):
-        for size in range(0, 7):
-            for shape in skew_shapes(size, 2):
-                cols = [c for _, c in boxes(shape)]
-                assert is_horizontal_strip(shape) == (len(cols) == len(set(cols)))
-
-
 class TestUniqueCycleTableau:
+    # an m-strip tableau of type (n) exists exactly when the shape is
+    # n-decomposable with every quotient component a horizontal strip; it is
+    # then unique, and its sign is the quotient sign
     def test_fixtures(self):
-        got = unique_cycle_tableau(SkewPartition((2,)), 1, 2)
-        assert got is not None and got[1] == 1
-        got = unique_cycle_tableau(SkewPartition((1, 1)), 1, 2)
-        assert got is not None and got[1] == -1
-        assert unique_cycle_tableau(SkewPartition((1, 1)), 2, 1) is None
-        assert unique_cycle_tableau(BIG, 5, 3) is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            unique_cycle_tableau(SkewPartition((2,)), 2, 2)
-        with pytest.raises(ValueError):
-            unique_cycle_tableau(SkewPartition((2,)), 0, 2)
+        (t,) = enumerate_m_bst(SkewPartition((2,)), 1, Composition((2,)))
+        assert t.sign == 1 == n_quotient(t.shape, 2).sign
+        (t,) = enumerate_m_bst(SkewPartition((1, 1)), 1, Composition((2,)))
+        assert t.sign == -1 == n_quotient(t.shape, 2).sign
+        assert enumerate_m_bst(SkewPartition((1, 1)), 2, Composition((1,))) == []
+        assert enumerate_m_bst(BIG, 5, Composition((3,))) == []
+        assert not all(horizontal(c) for c in n_quotient(BIG, 3).components)
 
     def test_matches_enumeration(self):
-        # existence, uniqueness and the produced tableau all at once
+        # existence, uniqueness and the sign all at once
         for m in (1, 2, 3, 4):
             for n in (1, 2, 3):
                 if m * n > 10:
                     continue
                 for shape in skew_shapes(m * n, 2):
                     ts = enumerate_m_bst(shape, m, Composition((n,)))
-                    got = unique_cycle_tableau(shape, m, n)
+                    exists = is_n_decomposable(shape, n) and all(
+                        horizontal(c) for c in n_quotient(shape, n).components
+                    )
+                    assert len(ts) == exists, (shape, m, n)
                     if ts:
-                        assert len(ts) == 1
-                        assert got == (ts[0], ts[0].sign), (shape, m, n)
-                    else:
-                        assert got is None, (shape, m, n)
+                        assert ts[0].sign == n_quotient(shape, n).sign, (shape, m, n)
 
 
 class TestQuotientBijection:

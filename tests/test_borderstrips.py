@@ -15,18 +15,16 @@ from defres import (
     SkewPartition,
     a_coefficient,
     enumerate_m_bst,
-    is_border_strip,
     mn_value,
     partitions_of,
     repeat_parts,
     skew_shapes,
-    strip_meta,
 )
 
 from defres import borderstrips
 from defres.borderstrips import _a_count, _mn, _strip_additions, _strip_removals
 
-from conftest import boxes, skews
+from conftest import boxes, skews, strip_oracle
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))  # 12 boxes
 BIG = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))  # 15 boxes
@@ -42,28 +40,12 @@ FIG1_CHAIN = (
 # --- independent oracles -----------------------------------------------------
 
 
-def strip_oracle(shape):
-    """Border strip test straight from the definition, on the box set."""
-    cells = set(boxes(shape))
-    if not cells:
-        return False
-    for r, c in cells:
-        if {(r + 1, c), (r, c + 1), (r + 1, c + 1)} <= cells:
-            return False
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        b = stack.pop()
-        if b in seen:
-            continue
-        seen.add(b)
-        r, c = b
-        stack.extend(
-            x
-            for x in ((r + 1, c), (r - 1, c), (r, c + 1), (r, c - 1))
-            if x in cells and x not in seen
-        )
-    return seen == cells
+def one_strip(shape):
+    """The metadata of shape as a one-strip tableau, or None if it is no strip."""
+    try:
+        return BorderStripTableau([shape.inner, shape.outer]).metas()[0]
+    except ValueError:
+        return None
 
 
 def strip_geometry(shape):
@@ -159,32 +141,32 @@ def render_oracle(t):
 
 class TestIsBorderStrip:
     def test_fixtures(self):
-        assert is_border_strip(SkewPartition((2, 2), (1,)))
-        assert not is_border_strip(SkewPartition((2, 2)))  # 2x2 square
-        assert not is_border_strip(SkewPartition((3, 1), (2,)))  # disconnected
-        assert is_border_strip(SkewPartition((3, 1), (1, 1)))
-        assert is_border_strip(SkewPartition((1,)))
-        assert is_border_strip(SkewPartition((2, 1)))
-        assert not is_border_strip(SkewPartition((1,), (1,)))  # empty
+        assert one_strip(SkewPartition((2, 2), (1,)))
+        assert not one_strip(SkewPartition((2, 2)))  # 2x2 square
+        assert not one_strip(SkewPartition((3, 1), (2,)))  # disconnected
+        assert one_strip(SkewPartition((3, 1), (1, 1)))
+        assert one_strip(SkewPartition((1,)))
+        assert one_strip(SkewPartition((2, 1)))
+        assert not one_strip(SkewPartition((1,), (1,)))  # empty
 
     def test_matches_box_oracle_exhaustively(self):
         for size in range(0, 9):
             for shape in skew_shapes(size, 3):
-                assert is_border_strip(shape) == strip_oracle(shape), shape
+                assert bool(one_strip(shape)) == strip_oracle(shape), shape
 
 
 class TestStripMeta:
     def test_fixtures(self):
-        assert strip_meta(SkewPartition((2, 2), (1,))) == (3, 1, 1)
-        assert strip_meta(SkewPartition((3, 1), (1, 1))) == (2, 0, 1)
-        assert strip_meta(SkewPartition((1, 1, 1), (1,))) == (2, 1, 2)
-        assert strip_meta(SkewPartition((1,))) == (1, 0, 1)
+        assert one_strip(SkewPartition((2, 2), (1,))) == (3, 1, 1)
+        assert one_strip(SkewPartition((3, 1), (1, 1))) == (2, 0, 1)
+        assert one_strip(SkewPartition((1, 1, 1), (1,))) == (2, 1, 2)
+        assert one_strip(SkewPartition((1,))) == (1, 0, 1)
 
     def test_matches_box_geometry_exhaustively(self):
         for size in range(1, 9):
             for shape in skew_shapes(size, 3):
                 if strip_oracle(shape):
-                    assert strip_meta(shape) == strip_geometry(shape), shape
+                    assert one_strip(shape) == strip_geometry(shape), shape
 
     def test_tables_match_box_geometry(self):
         # every entry of both strip tables, partitions of at most 12, c <= 7
@@ -202,10 +184,10 @@ class TestStripMeta:
             assert meta == strip_geometry(strip), strip
 
     def test_rejects_non_strips(self):
-        with pytest.raises(ValueError):
-            strip_meta(SkewPartition((2, 2)))
-        with pytest.raises(ValueError):
-            strip_meta(SkewPartition((3, 1), (3, 1)))
+        with pytest.raises(ValueError, match="is not a border strip"):
+            BorderStripTableau([(), (2, 2)])
+        with pytest.raises(ValueError, match="is not a border strip"):
+            BorderStripTableau([(3, 1), (3, 1)])
 
 
 class TestStripTables:

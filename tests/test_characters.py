@@ -26,11 +26,10 @@ from defres.characters import lr_fillings
 from defres.perms import (
     all_permutations,
     cycle_type_of,
-    parity,
     with_cycle_type,
 )
 
-from conftest import boxes, skews
+from conftest import boxes, horizontal, parity, skews
 
 
 def hook_length_count(p):
@@ -280,14 +279,12 @@ class TestLrCoefficient:
             lr_coefficient((3,), ((2,), (2,)))
 
     def test_row_factor_counts_horizontal_strips(self):
-        from defres import is_horizontal_strip
-
         for lam in partitions_of(6):
             for k in range(0, 7):
                 for mu in partitions_of(6 - k):
                     if not lam.contains(mu):
                         continue
-                    want = 1 if is_horizontal_strip(SkewPartition(lam, mu)) else 0
+                    want = 1 if horizontal(SkewPartition(lam, mu)) else 0
                     assert lr_coefficient(lam, (mu, Partition((k,) if k else ()))) == want
 
     def test_factor_symmetry(self):

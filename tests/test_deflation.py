@@ -24,7 +24,6 @@ from defres import (
     irreducible_character,
     is_n_decomposable,
     mn_value,
-    n_core,
     n_quotient,
     ncycle_vanishing,
     oracle_defres,
@@ -474,14 +473,14 @@ class TestNcycleVanishing:
             ncycle_vanishing((6, 4, 2), (2, 1), 3)
 
     def test_zero_on_nonempty_core(self):
-        # the staircase is its own 2-core
-        assert n_core((3, 2, 1), 2) == Partition((3, 2, 1))
+        # the staircase is its own 2-core, so it is not 2-decomposable
+        assert not is_n_decomposable(SkewPartition((3, 2, 1)), 2)
         for kappa in partitions_of(3):
             assert ncycle_vanishing((3, 2, 1), kappa, 2) == 0
 
     def test_zero_when_component_exceeds_kappa(self):
         # empty 2-core, but the 2-quotient of (2,1,1) has a column component
-        assert n_core((2, 1, 1), 2) == Partition()
+        assert is_n_decomposable(SkewPartition((2, 1, 1)), 2)
         assert ncycle_vanishing((2, 1, 1), (2,), 2) == 0
         assert ncycle_vanishing((2, 1, 1), (1, 1), 2) in (-1, 1)
 

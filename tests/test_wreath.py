@@ -11,8 +11,6 @@ from defres import (
     Partition,
     SkewPartition,
     WreathElement,
-    cycle_products,
-    cycle_type,
     irreducible_character,
     mn_value,
     omega,
@@ -23,8 +21,10 @@ from defres import (
     tilde_theta_value,
     to_permutation,
 )
-from defres.perms import all_permutations, cycle_type_of, parity, with_cycle_type
-from defres.wreath import _cycle_lengths, _expansion
+from defres.perms import all_permutations, cycle_type_of, cycles, with_cycle_type
+from defres.wreath import _along, _cycle_lengths, _expansion
+
+from conftest import parity
 
 BIG = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
 
@@ -34,6 +34,17 @@ def all_elements(m, n):
     for base in itertools.product(perms, repeat=n):
         for top in all_permutations(n):
             yield WreathElement(base, top)
+
+
+def cycle_type(w):
+    """The cycle type of w acting on its m*n points."""
+    m = len(w.base[0]) if w.base else 0
+    return cycle_type_of(to_permutation(w, m, len(w.top)))
+
+
+def cycle_products(w):
+    """(product of base permutations along the cycle, cycle length) pairs."""
+    return [(_along(w.base, cyc), len(cyc)) for cyc in cycles(w.top)]
 
 
 class TestWreathElement:

@@ -31,12 +31,12 @@ shapes, it is a tuple, the pair ``(runners, beads)``.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache, lru_cache
-from operator import itemgetter
-from typing import NamedTuple
+from operator import index
 
 from .borderstrips import BorderStripTableau
-from .partitions import Partition, SkewPartition, _skew_key, intermediates
+from .partitions import Partition, SkewPartition, _record, _skew_key, intermediates
 
 
 def _beads(parts: tuple[int, ...], nbeads: int) -> list[int]:
@@ -53,7 +53,7 @@ def _partition_of_betas(betas) -> Partition:
     return tuple.__new__(Partition, parts[::-1])
 
 
-class AbacusDisplay(tuple):
+class AbacusDisplay(_record("AbacusDisplay", "runners beads")):
     """An abacus with ``runners`` runners and beads at distinct positions.
 
     The display is the pair ``(runners, beads)``, ``beads`` a frozenset of
@@ -63,21 +63,15 @@ class AbacusDisplay(tuple):
 
     __slots__ = ()
 
-    runners = property(itemgetter(0), doc="The number of runners.")
-    beads = property(itemgetter(1), doc="The bead positions, a frozenset.")
-
     def __new__(cls, runners: int, beads):
-        beads = frozenset(int(b) for b in beads)
+        beads = frozenset(map(index, beads))
         if runners < 1:
             raise ValueError("need at least one runner")
         if any(b < 0 for b in beads):
             raise ValueError("bead positions must be non-negative")
         if len(beads) % runners != 0:
             raise ValueError("bead count must be a multiple of the runner count")
-        return super().__new__(cls, (runners, beads))
-
-    def __getnewargs__(self) -> tuple[int, frozenset[int]]:
-        return tuple(self)
+        return super().__new__(cls, runners, beads)
 
     @property
     def bead_count(self) -> int:
@@ -136,7 +130,7 @@ def display(p, n: int, rows: int | None = None) -> AbacusDisplay:
     return AbacusDisplay(n, _beads(p, t * n))
 
 
-class QuotientData(NamedTuple):
+class QuotientData(namedtuple("QuotientData", "components relabelling sign")):
     """The n-quotient of a skew shape together with its sign.
 
     ``components[i]`` is the skew shape cut out on runner i; ``relabelling``
@@ -145,9 +139,7 @@ class QuotientData(NamedTuple):
     ``sign`` is the parity of that permutation.
     """
 
-    components: tuple[SkewPartition, ...]
-    relabelling: tuple[int, ...]
-    sign: int
+    __slots__ = ()
 
 
 def _runners(parts, n: int, nbeads: int) -> list[list[tuple[int, int]]]:
@@ -247,10 +239,11 @@ def is_n_decomposable(shape: SkewPartition, n: int) -> bool:
 
     Read off the paired displays: each runner must carry equally many
     lambda-beads and mu-beads, with the mu-rows dominated by the
-    lambda-rows when both are sorted.
+    lambda-rows when both are sorted.  A shape without boxes is
+    decomposable for every n, answered without drawing its n runners.
     """
     _check_runners(shape, n)
-    return _quotient(shape, n) is not None
+    return shape.outer == shape.inner or _quotient(shape, n) is not None
 
 
 def n_quotient(shape: SkewPartition, n: int) -> QuotientData:

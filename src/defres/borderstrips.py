@@ -39,12 +39,13 @@ and its height is the number of rows it changes, less one.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cache
-from operator import itemgetter, ne
-from typing import Iterator, NamedTuple
+from operator import index, ne
+from typing import Iterator
 
 from .partitions import (
-    Composition, Partition, SkewPartition, _contains, intermediates, repeat_parts,
+    Composition, Partition, SkewPartition, _contains, _record, intermediates, repeat_parts,
 )
 
 
@@ -101,10 +102,7 @@ def _strip_additions(mu: tuple[int, ...], c: int) -> _Strips:
 # strip metadata
 
 
-class StripMeta(NamedTuple):
-    length: int
-    height: int
-    row_number: int
+StripMeta = namedtuple("StripMeta", "length height row_number")
 
 
 def _strip(hi: tuple[int, ...], lo: tuple[int, ...]) -> StripMeta | None:
@@ -120,7 +118,7 @@ def _strip(hi: tuple[int, ...], lo: tuple[int, ...]) -> StripMeta | None:
 # tableaux
 
 
-class BorderStripTableau(tuple):
+class BorderStripTableau(_record("BorderStripTableau", "chain labels")):
     """An increasing chain of partitions with border-strip steps.
 
     The pair ``(chain, labels)``, equal and hashed like it: ``chain[0]`` is
@@ -131,9 +129,6 @@ class BorderStripTableau(tuple):
     """
 
     __slots__ = ()
-
-    chain = property(itemgetter(0), doc="The partitions, inner shape first.")
-    labels = property(itemgetter(1), doc="The label of each strip.")
 
     def __new__(cls, chain, labels=None):
         chain = tuple(Partition(p) for p in chain)
@@ -146,16 +141,12 @@ class BorderStripTableau(tuple):
         if labels is None:
             labels = tuple(range(1, k + 1))
         else:
-            labels = tuple(int(x) for x in labels)
+            labels = tuple(map(index, labels))
             if len(labels) != k:
                 raise ValueError("one label per strip required")
             if any(a >= b for a, b in zip(labels, labels[1:])):
                 raise ValueError("labels must strictly increase along the chain")
-        return super().__new__(cls, (chain, labels))
-
-    def __getnewargs__(self) -> tuple[tuple[Partition, ...], tuple[int, ...]]:
-        # copy and pickle call cls(chain, labels), not cls((chain, labels))
-        return tuple(self)
+        return super().__new__(cls, chain, labels)
 
     @property
     def shape(self) -> SkewPartition:

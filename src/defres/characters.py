@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb
-from operator import itemgetter
+from operator import index as as_int, itemgetter
 
 from .borderstrips import mn_value
 from .partitions import (
@@ -44,8 +44,9 @@ class ClassFunction(tuple):
     """An integer-valued class function on S_r, r = ``degree``.
 
     The pair ``(degree, values)``, values in ``partitions_of`` order; it
-    equals and hashes like that plain pair.  The constructor takes one
-    integer per partition of r, keyed by partitions or the equal tuples.
+    equals and hashes like that plain pair.  It is no ``_record``, as its
+    public ``values`` is a dict: the constructor takes one integer per
+    partition of r, keyed by partitions or the equal tuples.
     """
 
     __slots__ = ()
@@ -55,7 +56,7 @@ class ClassFunction(tuple):
     def __new__(cls, degree: int, values: dict):
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        table = {Partition(a): int(v) for a, v in values.items()}
+        table = {Partition(a): as_int(v) for a, v in values.items()}
         index = _class_index(degree)
         if table.keys() != index.keys():
             raise ValueError(f"values must cover the classes of S_{degree} exactly")

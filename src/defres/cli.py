@@ -40,12 +40,12 @@ from .perms import cycle_notation, with_cycle_type
 from .wreath import DEFAULT_BUDGET, BudgetExceeded, oracle_defres
 
 
-def _resolve_theta(text: str, m: int) -> Partition:
-    if text == "trivial":
+def _resolve_theta(theta, m: int) -> Partition:
+    if theta == "trivial":
         return Partition((m,))
-    if text == "sign":
+    if theta == "sign":
         return Partition((1,) * m)
-    return Partition.parse(text)
+    return theta
 
 
 def _budget(text: str) -> int:
@@ -187,9 +187,8 @@ def _cmd_verify(args) -> tuple[str, dict]:
     if args.theta in modes:
         modes = {args.theta: modes[args.theta]}
     elif args.theta is not None:
-        theta = Partition.parse(args.theta)
-        modes = {theta: "recursive"}
-        sizes = [theta.size] if theta.size in sizes else []
+        modes = {args.theta: "recursive"}
+        sizes = [args.theta.size] if args.theta.size in sizes else []
     cells = []
     failures = []
     for m in sizes:
@@ -228,7 +227,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
     if not cells:
         raise ValueError(
             f"nothing to verify: no cell with m, n >= 2 and m * n <= "
-            f"{args.max_size} fits theta {args.theta or 'trivial, sign'}"
+            f"{args.max_size} fits theta {', '.join(map(str, modes))}"
         )
     ok = all(c["failures"] == 0 for c in cells)
     lines = [
@@ -264,6 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
                 raise argparse.ArgumentTypeError(exc) from None
         return convert
 
+    # a deflating character: the words trivial and sign, else a partition
+    theta = parsed(lambda text: text if text in ("trivial", "sign") else Partition.parse(text))
+
     def add_common(p):
         p.add_argument(
             "--format", choices=("text", "json"), default="text",
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="base group degree")
     p.add_argument("--gamma", type=parsed(Composition.parse), required=True,
                    help="cycle type in the deflated group")
-    p.add_argument("--theta", default="trivial",
+    p.add_argument("--theta", type=theta, default="trivial",
                    help="deflating character: trivial, sign, or a partition of m")
     p.add_argument("--evaluator",
                    choices=("auto", "tableau", "recursive", "oracle", "oracle-naive"),
@@ -317,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest m * n cell to sweep (default 10)")
     p.add_argument("--inner-max", type=int, default=2,
                    help="largest inner shape in the sweep (default 2)")
-    p.add_argument("--theta", default=None,
+    p.add_argument("--theta", type=theta, default=None,
                    help="restrict to one deflating character (default: trivial and sign)")
     add_common(p)
     p.set_defaults(handler=_cmd_verify)

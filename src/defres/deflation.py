@@ -37,18 +37,17 @@ character and the degree.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import cache
 
 from .abacus import _cuts, is_n_decomposable, n_quotient
 from .borderstrips import a_coefficient, mn_value
 from .characters import _induced, lr_coefficient, lr_fillings, skew_character
 from .partitions import (
-    Composition, Partition, SkewPartition, _contains, _skew_key, intermediates, stretch
+    Composition, Partition, SkewPartition, _contains, _record, _skew_key, intermediates, stretch
 )
 
 
-class DeflationQuery(namedtuple("DeflationQuery", "shape m n theta gamma")):
+class DeflationQuery(_record("DeflationQuery", "shape m n theta gamma")):
     """A deflation instance: which character, through what, evaluated where.
 
     ``shape`` is the skew shape of the restricted character, ``theta`` the

@@ -5,10 +5,11 @@ evaluators) works with the immutable shape types defined here, and every
 one of them is a tuple that equals and hashes like its plain form.  A
 ``Composition`` is the tuple of its parts, and a ``Partition`` is a
 composition whose parts weakly decrease; a ``SkewPartition`` is the pair
-``(outer, inner)`` of partitions.  The memoized recursions key on shapes
-as they are and accept the plain tuples alike; copies and pickles
-round-trip.  All arithmetic is exact; values are Python integers
-throughout.
+``(outer, inner)`` of partitions, a ``_record``: the namedtuple base of
+every validated record in the package, whose ``_make`` and ``_replace``
+validate like its constructor.  The memoized recursions key on shapes as
+they are and accept the plain tuples alike; copies and pickles round-trip.
+Arithmetic is exact, in integers; a non-integer part raises ``TypeError``.
 
 Text grammar, shared with the CLI: parts are comma separated ("6,5,3,2"),
 the empty partition is written "-", and a skew shape is "outer/inner"
@@ -27,15 +28,16 @@ abacus cut table and the deflation memo alike.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cache
 from itertools import zip_longest
 from math import factorial
-from operator import itemgetter, le
+from operator import index, le
 from typing import Iterable, Iterator
 
 
 def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
-    t = tuple(int(x) for x in parts)
+    t = tuple(map(index, parts))
     end = len(t)
     while end and t[end - 1] == 0:
         end -= 1
@@ -60,7 +62,7 @@ class Composition(tuple):
     def __new__(cls, parts: Iterable[int] = ()):
         if isinstance(parts, cls):
             return parts
-        t = tuple(int(x) for x in parts)
+        t = tuple(map(index, parts))
         if any(p <= 0 for p in t):
             raise ValueError(f"composition parts must be positive: {t}")
         return super().__new__(cls, t)
@@ -131,7 +133,14 @@ class Partition(Composition):
         return tuple.__new__(Partition, [sum(1 for p in self if p >= c) for c in cols])
 
 
-class SkewPartition(tuple):
+def _record(name: str, fields: str) -> type:
+    # _make, and with it _replace, goes through the subclass's validating __new__
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
+
+
+class SkewPartition(_record("SkewPartition", "outer inner")):
     """A pair of nested partitions outer/inner; the shape is their difference.
 
     A skew shape is the pair ``(outer, inner)``:
@@ -141,19 +150,12 @@ class SkewPartition(tuple):
 
     __slots__ = ()
 
-    outer = property(itemgetter(0), doc="The outer partition.")
-    inner = property(itemgetter(1), doc="The inner partition.")
-
     def __new__(cls, outer, inner=()):
         outer = Partition(outer)
         inner = Partition(inner)
         if not _contains(outer, inner):
             raise ValueError(f"inner {inner} not contained in outer {outer}")
-        return super().__new__(cls, (outer, inner))
-
-    def __getnewargs__(self) -> tuple[Partition, Partition]:
-        # copy and pickle call cls(outer, inner), not cls((outer, inner))
-        return tuple(self)
+        return super().__new__(cls, outer, inner)
 
     @property
     def size(self) -> int:

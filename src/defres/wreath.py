@@ -24,13 +24,13 @@ prod_s C(p(m) + k_s - 1, k_s) class multisets or the (m!)^n base tuples.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter
 from functools import cache, reduce
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 
 from .borderstrips import _mn, mn_value
-from .partitions import Partition, SkewPartition, centralizer_order, partitions_of
+from .partitions import Partition, SkewPartition, _record, centralizer_order, partitions_of
 from .perms import all_permutations, compose, cycle_type_of, cycles, identity
 
 DEFAULT_BUDGET = 10**7
@@ -40,7 +40,7 @@ class BudgetExceeded(RuntimeError):
     """Raised when an oracle would exceed its evaluation budget."""
 
 
-class WreathElement(namedtuple("WreathElement", "base top")):
+class WreathElement(_record("WreathElement", "base top")):
     """A base tuple of permutations of {0..m-1} and a top permutation."""
 
     __slots__ = ()

@@ -68,6 +68,10 @@ class TestAbacusDisplay:
         with pytest.raises(ValueError):
             AbacusDisplay(2, [0, 1, 2])  # count not a multiple of runners
 
+    def test_rejects_non_integer_beads(self):
+        with pytest.raises(TypeError):
+            AbacusDisplay(2, [0.0, 1.7])
+
     def test_rejects_mutation(self):
         d = AbacusDisplay(2, [0, 1])
         with pytest.raises(AttributeError):
@@ -136,6 +140,11 @@ class TestIsNDecomposable:
     def test_rejects_indivisible_size(self):
         with pytest.raises(ValueError):
             is_n_decomposable(SkewPartition((3,)), 2)
+
+    def test_shape_without_boxes_draws_no_runners(self):
+        start = time.perf_counter()
+        assert is_n_decomposable(SkewPartition((3,), (3,)), 10**6)
+        assert time.perf_counter() - start < 1
 
     def test_matches_tableau_existence(self):
         for n in (2, 3, 4):

@@ -252,6 +252,10 @@ class TestBorderStripTableau:
         with pytest.raises(ValueError):
             BorderStripTableau([(1, 1), (2, 1), (3, 1)], labels=(4, 3))
 
+    def test_rejects_non_integer_labels(self):
+        with pytest.raises(TypeError):
+            BorderStripTableau([(1, 1), (2, 1), (3, 1)], labels=(1.5, 2))
+
     def test_fig_chain_metadata(self):
         t = BorderStripTableau(FIG1_CHAIN)
         assert t.shape == BIG

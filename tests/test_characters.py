@@ -92,6 +92,10 @@ class TestClassFunction:
         with pytest.raises(ValueError):
             ClassFunction(-1, {})
 
+    def test_rejects_non_integer_values(self):
+        with pytest.raises(TypeError):
+            ClassFunction(2, {(2,): 1.5, (1, 1): Fraction(7, 2)})
+
     def test_rejects_mutation(self):
         f = ClassFunction.trivial(3)
         with pytest.raises(AttributeError):

@@ -76,6 +76,10 @@ class TestMn:
              "--gamma: cannot parse composition 'x'"),
             (("farahat", "--shape", "2,2", "--n", "2", "--alpha", "0,-1"),
              "--alpha: parts must be non-negative"),
+            (("defres", "--shape", "4,2", "--m", "3", "--gamma", "2", "--theta", "x"),
+             "--theta: cannot parse partition 'x'"),
+            (("verify", "--theta", "x"), "--theta: cannot parse partition 'x'"),
+            (("verify", "--theta", "2,x"), "--theta: cannot parse partition '2,x'"),
         ],
     )
     def test_parse_errors_keep_their_reason(self, capsys, argv, reason):

@@ -78,6 +78,10 @@ class TestPartition:
     def test_hashable(self):
         assert len({Partition((2, 1)), Partition((2, 1)), Partition((3,))}) == 2
 
+    def test_rejects_non_integer_parts(self):
+        with pytest.raises(TypeError):
+            Partition([2.9, 1.2])
+
 
 class TestTupleSemantics:
     def test_equal_and_hashed_like_the_plain_tuple(self):
@@ -135,6 +139,34 @@ class TestTupleSemantics:
             with pytest.raises(AttributeError):
                 record.extra = 1
 
+    def test_replace_and_make_validate(self):
+        # each validated record with one bad field: every way in raises the
+        # constructor's error, and a valid _replace keeps the type
+        shape = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
+        cases = (
+            (shape, "inner", (9,)),
+            (display((3, 1), 2), "runners", 0),
+            (BorderStripTableau([(1,), (2,), (2, 2)]), "labels", (2, 1)),
+            (DeflationQuery(shape, 3, 5, Partition((2, 1)), Composition((3, 2))), "m", 0),
+            (WreathElement(((0, 1),), (0,)), "top", (5,)),
+        )
+        for record, field, value in cases:
+            cls = type(record)
+            values = [value if f == field else getattr(record, f) for f in cls._fields]
+            messages = set()
+            for build in (
+                lambda: cls(*values),
+                lambda: record._replace(**{field: value}),
+                lambda: cls._make(values),
+            ):
+                with pytest.raises(ValueError) as exc:
+                    build()
+                messages.add(str(exc.value))
+            assert len(messages) == 1
+            same = record._replace(**{field: getattr(record, field)})
+            assert same == record and type(same) is cls
+            assert cls._make(record) == record
+
     def test_pickle_and_deepcopy_round_trip(self):
         shape = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
         for x in (
@@ -184,6 +216,10 @@ class TestSkewPartition:
         with pytest.raises(ValueError):
             SkewPartition((2, 2), (3,))
 
+    def test_rejects_non_integer_parts(self):
+        with pytest.raises(TypeError):
+            SkewPartition([3.7], [1.1])
+
     def test_size_and_boxes(self):
         shape = SkewPartition((2, 2), (1,))
         assert shape.size == 3 == len(boxes(shape))
@@ -203,6 +239,10 @@ class TestComposition:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Composition((2, 0))
+
+    def test_rejects_non_integer_parts(self):
+        with pytest.raises(TypeError):
+            Composition(["1", "2"])
 
     def test_parse(self):
         assert Composition.parse("1,2,3") == Composition((1, 2, 3))

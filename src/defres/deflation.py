@@ -22,7 +22,14 @@ Two independent evaluators are provided on top of the wreath oracle:
   (tau, sign, key) carry the quotient sign and components key of
   lambda/tau: the walk reads the abacus only for gamma's last part.  The
   1-quotient is the shape itself with sign +1, so a 1-cycle reads the LR
-  fillings directly, and tau runs over ``partitions.intermediates``.
+  fillings directly, and tau runs over ``partitions.intermediates``
+  between two bounds (``_waistlines``).  An LR filling of content kappa
+  has rows of at most kappa_1 boxes and columns of at most len(kappa)
+  boxes (Macdonald, I.9); lambda/tau is one such filling and tau/mu is
+  k of them in a chain, k the 1-cycles left after this one.  So row by
+  row tau_i lies between the floor max(mu_i, lambda_i - kappa_1,
+  lambda_(i+len kappa)) and the ceiling min(lambda_i, mu_i + k kappa_1,
+  mu_(i - k len kappa)).
 
 The LR count is written once, in ``_single_cycle``: its memo keys on
 ``partitions._skew_key`` (re-exported here), the connected components,
@@ -38,6 +45,7 @@ character and the degree.
 from __future__ import annotations
 
 from functools import cache
+from operator import gt
 
 from .abacus import _cuts, is_n_decomposable, n_quotient
 from .borderstrips import a_coefficient, mn_value
@@ -100,6 +108,20 @@ def _cycle_value(outer, inner, c: int, kappa: tuple[int, ...]) -> int:
     return quotient.sign * _single_cycle(tuple(key), kappa)
 
 
+def _waistlines(outer, inner, kappa: tuple[int, ...], k: int) -> list[Partition]:
+    # the c = 1 waistlines between the module docstring's floor and ceil;
+    # ceil ends where inner's rows, moved k * len(kappa) down, end, so it
+    # has no zero rows
+    width, depth = kappa[0], len(kappa)
+    lam, mu = tuple(outer), tuple(inner) + (0,) * len(outer)
+    floor = tuple(map(max, mu, [p - width for p in lam], lam[depth:] + (0,) * depth))
+    moved = (lam[0],) * (k * depth) + tuple(inner)
+    ceil = tuple(map(min, lam, [p + k * width for p in mu], moved))
+    if any(map(gt, floor, ceil + (0,) * len(lam))):
+        return []
+    return intermediates((ceil, floor[: len(ceil)]), sum(inner) + k * sum(kappa) - sum(floor))
+
+
 @cache
 def _recursive(
     shape: SkewPartition, m: int, kappa: tuple[int, ...], gamma: tuple[int, ...]
@@ -115,7 +137,8 @@ def _recursive(
     if not rest:
         return _cycle_value(outer, inner, c, kappa)
     if c == 1:
-        cuts = ((tau, 1, _skew_key(outer, tau)) for tau in intermediates(shape, m * sum(rest)))
+        taus = _waistlines(outer, inner, kappa, len(rest))
+        cuts = ((tau, 1, _skew_key(outer, tau)) for tau in taus)
     else:
         cuts = _cuts(outer, c, m)
     total = 0

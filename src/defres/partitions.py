@@ -199,7 +199,8 @@ def intermediates(shape: SkewPartition, c: int) -> list[Partition]:
 
     Listed in descending lexicographic order.  Used to split a skew shape
     into a lower and an upper half along every possible waistline.  The
-    shape may also be the equal plain pair of partitions (outer, inner).
+    shape may also be the equal plain pair of partitions (outer, inner),
+    inner padded with zero parts to at most outer's length.
     """
     outer, inner = shape
     target = sum(inner) + c

@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import operator
 import pkgutil
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from defres import (
     defres_theorem,
     farahat_check,
     induced_value,
+    intermediates,
     inner_product,
     irreducible_character,
     is_n_decomposable,
@@ -34,7 +36,7 @@ from defres import (
 )
 from defres import abacus
 from defres.abacus import _cuts
-from defres.deflation import _cycle_value, _recursive, _single_cycle, _skew_key
+from defres.deflation import _cycle_value, _recursive, _single_cycle, _skew_key, _waistlines
 from defres.perms import with_cycle_type
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))
@@ -112,8 +114,6 @@ class TestDefresRecursive:
     def test_single_cycle_contributions(self):
         # peeling one 2-cycle off (6,4,2): the nonzero lower and upper
         # factors across the waistlines tau, and their products
-        from defres import intermediates
-
         taus, lowers, uppers = [], [], []
         for tau in intermediates(SkewPartition(SIX42.outer), 6):
             lo = defres_recursive(query(SkewPartition(tau), 3, (2, 1), (2,)))
@@ -213,7 +213,20 @@ class TestDefresRecursive:
         assert self.oracle_sweep(((4, 4), (8, 2))) == 29040
 
     def test_matches_oracle_at_m_n_18(self):
-        assert self.oracle_sweep(((3, 6),)) == 9625
+        # (3, 6) gives 9,625 instances, (6, 3) 23,625 and (9, 2) 49,000
+        assert self.oracle_sweep(((3, 6), (6, 3), (9, 2))) == 82250
+
+    def test_one_cycles_off_long_rows(self):
+        # gamma = 1^4 at m = 7 on shapes with long rows, where the row bound
+        # kappa_1 prunes the waistline walk
+        for outer, kappa, value in (
+            ((9, 7, 5, 4, 3), (3, 2, 2), 2872),
+            ((10, 8, 6, 4), (4, 2, 1), 9168),
+        ):
+            shape = SkewPartition(outer)
+            theta = irreducible_character(kappa)
+            assert oracle_defres(shape, theta, 4, with_cycle_type((1,) * 4, 4)) == value
+            assert defres_recursive(query(shape, 7, kappa, (1,) * 4)) == value
 
     def test_empty_evaluation_group(self):
         shape = SkewPartition((2, 1), (2, 1))
@@ -221,6 +234,52 @@ class TestDefresRecursive:
         shape = SkewPartition((2, 1), (1, 1))
         with pytest.raises(ValueError):
             query(shape, 3, (2, 1), ())
+
+
+def waistline_bounds(lam, mu, kappa, k):
+    # row by row: floor_i = max(mu_i, lam_i - kappa_1, lam_(i + len kappa))
+    # and ceil_i = min(lam_i, mu_i + k kappa_1, mu_(i - k len kappa))
+    width, depth = kappa[0], len(kappa)
+    part = lambda p, i: p[i] if 0 <= i < len(p) else 0
+    floor = [max(part(mu, i), lam[i] - width, part(lam, i + depth)) for i in range(len(lam))]
+    ceil = [
+        min(lam[i], part(mu, i) + k * width, part(mu, i - k * depth) if i >= k * depth else lam[i])
+        for i in range(len(lam))
+    ]
+    return floor, ceil
+
+
+class TestWaistlineBound:
+    def test_drops_only_zero_terms(self):
+        # every lambda of at most 12 boxes, mu of at most 2, m <= 4, kappa of
+        # m and k <= 3 with |lambda/mu| = m (k + 1): a waistline of the
+        # unbounded walk outside floor..ceil adds 0, and _waistlines lists
+        # the rest in the same order
+        cases = dropped = kept = 0
+        for size in range(13):
+            for lam in partitions_of(size):
+                for mu in itertools.chain.from_iterable(map(partitions_of, range(3))):
+                    for m, k in itertools.product(range(1, 5), range(1, 4)):
+                        if size != mu.size + m * (k + 1) or not lam.contains(mu):
+                            continue
+                        for kappa in partitions_of(m):
+                            floor, ceil = waistline_bounds(lam, mu, kappa, k)
+                            inside = []
+                            for tau in intermediates(SkewPartition(lam, mu), m * k):
+                                rows = tuple(tau) + (0,) * (len(lam) - len(tau))
+                                if all(map(operator.le, floor, rows)) and all(
+                                    map(operator.le, rows, ceil)
+                                ):
+                                    inside.append(tau)
+                                    continue
+                                term = _single_cycle(_skew_key(lam, tau), kappa)
+                                term *= _recursive((tau, mu), m, kappa, (1,) * k)
+                                assert term == 0, (lam, mu, kappa, k, tau)
+                                dropped += 1
+                            assert _waistlines(lam, mu, kappa, k) == inside, (lam, mu, kappa, k)
+                            kept += len(inside)
+                            cases += 1
+        assert (cases, dropped, kept) == (2569, 7354, 4081)
 
 
 def key_sweep():

@@ -325,7 +325,8 @@ class TestIntermediates:
         # rows with small removals: outers of 11 to 14 boxes, inners of at
         # most 2 and c = |outer/inner| - m for m <= 4.  Against filtering
         # the partitions of the target size (reverse-lexicographic, so the
-        # order is checked)
+        # order is checked); the plain pair and an inner padded with zero
+        # parts to outer's length give the same list
         inputs = [
             (shape, range(-1, size + 2))
             for size in range(11)
@@ -351,6 +352,8 @@ class TestIntermediates:
                 assert got == want, (outer, inner, c)
                 assert all(type(t) is Partition for t in got)
                 assert intermediates((tuple(outer), tuple(inner)), c) == got
+                padded = tuple(inner) + (0,) * (len(outer) - len(inner))
+                assert intermediates((tuple(outer), padded), c) == got
                 cases += 1
         assert cases == 20288 + 7340
 

@@ -24,7 +24,8 @@ skew shape and n; it keeps its last result, so ``is_n_decomposable``
 followed by ``n_quotient`` reads a shape's abacus once, on ordered bead
 lists.  ``_cuts`` lists, from lambda's display alone, every entry
 (tau, sign, key) with lambda/tau n-decomposable of a given size: tau comes
-with its quotient's sign and components key (``partitions._skew_key``).
+with its quotient's sign and components key (``partitions._skew_key``),
+each runner's cuts of a size listed once by ``_runner_cuts``.
 ``display`` draws an ``AbacusDisplay`` for callers and printing; like the
 shapes, it is a tuple, the pair ``(runners, beads)``.
 """
@@ -191,14 +192,24 @@ def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
 
 
 @cache
+def _runner_cuts(part: Partition, k: int, nbeads: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    # every rho inside one runner's partition with k boxes fewer, as its bead
+    # rows on nbeads beads and _skew_key(part, rho), in intermediates' order
+    return tuple(
+        (tuple(_beads(rho, nbeads)), _skew_key(part, rho))
+        for rho in intermediates((part, ()), sum(part) - k)
+    )
+
+
+@cache
 def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[Partition, int, tuple], ...]:
     # Every (tau, sign, key) with outer/tau n-decomposable of m*n boxes: each
     # runner partition lambda^(i) loses a sub-diagram rho_i, m boxes in all;
     # sign is the relabelling parity (both sides' beads listed alike) and key
     # the sorted _skew_key(lambda^(i), rho_i).  Runners without boxes keep their
     # beads; over the rest, a partial cut (beads, boxes cut, key) stays while
-    # the runners after it can make up m.  A runner lists (lifted beads, key)
-    # once per admitted size of cut.
+    # the runners after it can make up m.  A runner's cuts of each size come
+    # from _runner_cuts, placed on its runner i as positions i + n*y.
     runners = _runners(outer, n, n * _bead_rows(len(outer), n))
     parts = _runner_partitions(runners)
     kept = tuple(i + n * y for i, part in enumerate(parts) if not part for _, y in runners[i])
@@ -216,9 +227,10 @@ def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[Partition, int,
         for lifted, cut, key in found:
             for k in range(max(0, m - cut - room), min(size, m - cut) + 1):
                 if k not in options:
-                    rhos = intermediates((part, ()), size - k)
-                    ups = [tuple([i + n * y for y in _beads(rho, len(beads))]) for rho in rhos]
-                    options[k] = list(zip(ups, [_skew_key(part, rho) for rho in rhos]))
+                    options[k] = [
+                        (tuple([i + n * y for y in rows]), comps)
+                        for rows, comps in _runner_cuts(part, k, len(beads))
+                    ]
                 grown += [(lifted + up, cut + k, key + comps) for up, comps in options[k]]
         found = grown
     return tuple(

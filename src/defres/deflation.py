@@ -20,7 +20,14 @@ Two independent evaluators are provided on top of the wreath oracle:
   (``characters.lr_fillings``).  So for c > 1 tau runs over the table
   ``abacus._cuts`` of lambda's c-abacus, shared by every mu, whose entries
   (tau, sign, key) carry the quotient sign and components key of
-  lambda/tau: the walk reads the abacus only for gamma's last part.  The
+  lambda/tau: the walk reads the abacus only for gamma's closing run.  A
+  closing run of j equal parts c > 1 is one step: its value is 0 unless
+  the shape is c-decomposable, and otherwise the quotient sign times
+  <s_Q, s_kappa^j>, Q the direct sum of the quotient components (chains of
+  c-decomposable cuts are the chains of runner cuts, their signs multiply
+  along a chain, and <s_Q, s_kappa^j> sums the LR counts along those
+  chains; Macdonald, I.5 and I.9).  That is the 1-cycle walk of j steps
+  on the components stacked into one shape (``_stacked``).  The
   1-quotient is the shape itself with sign +1, so a 1-cycle reads the LR
   fillings directly, and tau runs over ``partitions.intermediates``
   between two bounds (``_waistlines``).  An LR filling of content kappa
@@ -34,7 +41,7 @@ Two independent evaluators are provided on top of the wreath oracle:
 The LR count is written once, in ``_single_cycle``: its memo keys on
 ``partitions._skew_key`` (re-exported here), the connected components,
 each unchanged by translation and a 180 degree rotation (Macdonald, I.5).
-``_cycle_value`` is the single-cycle step of the last part and of
+``_cycle_value`` is the step of the closing run and of
 ``ncycle_vanishing``.  ``_recursive`` keys its memo on the lower half as
 the plain pair (tau, mu).  ``farahat_check`` shares the quotient step.
 
@@ -95,17 +102,41 @@ def _single_cycle(key: tuple, kappa: tuple[int, ...]) -> int:
     return lr_fillings([tuple(zip(*rows))[::-1] for rows in key], kappa)
 
 
-def _cycle_value(outer, inner, c: int, kappa: tuple[int, ...]) -> int:
-    # deflation through chi^kappa of outer/inner at a single c-cycle: the
-    # shape itself when c = 1, else 0 or the sign times its c-quotient's value
+def _stacked(key: tuple) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # a plain pair (outer, inner) with _skew_key(outer, inner) == key: the
+    # components stacked corner to corner, the first at the bottom left and
+    # each next one starting in the column where the one below ends; rows
+    # are listed from the bottom up, and only the lowest start at column 0
+    outer: list[int] = []
+    inner: list[int] = []
+    shift = 0
+    for comp in key:
+        outer += [end + shift for _, end in reversed(comp)]
+        inner += [start + shift for start, _ in reversed(comp) if start + shift]
+        shift += comp[0][1]
+    return tuple(outer[::-1]), tuple(inner[::-1])
+
+
+def _cycle_value(outer, inner, c: int, kappa: tuple[int, ...], j: int = 1, m: int = 0) -> int:
+    """Deflation through chi^kappa of outer/inner at j c-cycles, m = |kappa|.
+
+    For c = 1 (and j = 1 only) the LR fillings of content kappa of the shape
+    itself.  For c > 1, 0 unless the shape is c-decomposable, and otherwise
+    the quotient sign times <s_Q, s_kappa^j>, Q the direct sum of the
+    quotient components: the LR fillings of the components when j = 1, else
+    the 1-cycle walk of j steps on them stacked into one shape, the only
+    use of m.
+    """
     if c == 1:
         return _single_cycle(_skew_key(outer, inner), kappa)
     shape = SkewPartition(outer, inner)
     if not is_n_decomposable(shape, c):
         return 0
     quotient = n_quotient(shape, c)
-    key = sorted([comp for part in quotient.components for comp in _skew_key(*part)])
-    return quotient.sign * _single_cycle(tuple(key), kappa)
+    key = tuple(sorted([comp for part in quotient.components for comp in _skew_key(*part)]))
+    if j == 1:
+        return quotient.sign * _single_cycle(key, kappa)
+    return quotient.sign * _recursive(_stacked(key), m, kappa, (1,) * j)
 
 
 def _waistlines(outer, inner, kappa: tuple[int, ...], k: int) -> list[Partition]:
@@ -129,13 +160,14 @@ def _recursive(
     # shape is a skew shape or the equal plain pair (outer, inner); gamma
     # descends, its first part c cut off the outer side as outer/tau: tau from
     # the cut table when c > 1, where it may miss inner, else a waistline of
-    # sign +1 keyed on outer/tau itself
+    # sign +1 keyed on outer/tau itself.  A last part, or a closing run of
+    # equal parts c > 1, is one _cycle_value step
     outer, inner = shape
     if not gamma:
         return 1 if outer == inner else 0
     c, rest = gamma[0], gamma[1:]
-    if not rest:
-        return _cycle_value(outer, inner, c, kappa)
+    if not rest or (c > 1 and gamma[-1] == c):
+        return _cycle_value(outer, inner, c, kappa, len(gamma), m)
     if c == 1:
         taus = _waistlines(outer, inner, kappa, len(rest))
         cuts = ((tau, 1, _skew_key(outer, tau)) for tau in taus)
@@ -151,7 +183,12 @@ def _recursive(
 
 
 def defres_recursive(query: DeflationQuery) -> int:
-    """Deflation through any irreducible chi^theta, gamma's largest cycle first."""
+    """Deflation through any irreducible chi^theta, gamma's largest cycle first.
+
+    A closing run of equal parts c > 1, (c^j), is evaluated at once: 0
+    unless the shape left is c-decomposable, else its quotient sign times
+    <s_Q, s_theta^j>, Q the direct sum of the c-quotient components.
+    """
     gamma = tuple(sorted(query.gamma, reverse=True))
     return _recursive(query.shape, query.m, query.theta, gamma)
 

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import hypothesis.strategies as st
 
-from defres import Partition, SkewPartition
+from defres import Partition, SkewPartition, partitions_of
 
 
 @st.composite
@@ -33,6 +33,23 @@ def skews(draw, max_size=10, max_rows=5):
     if not outer.contains(inner):
         inner = Partition()
     return SkewPartition(outer, inner)
+
+
+def sample_skews(rng, total, count, inner_max=4):
+    """``count`` skew shapes of ``total`` boxes drawn by ``rng``, a ``random.Random``.
+
+    Each draw picks the inner size 0..inner_max, then the inner shape among
+    the partitions of that size, then the outer shape among the partitions
+    of ``total`` more boxes, all uniformly; an outer shape that does not
+    contain the inner one is drawn again.
+    """
+    shapes = []
+    while len(shapes) < count:
+        inner = rng.choice(partitions_of(rng.randint(0, inner_max)))
+        outer = rng.choice(partitions_of(total + inner.size))
+        if outer.contains(inner):
+            shapes.append(SkewPartition(outer, inner))
+    return shapes
 
 
 def boxes(shape):

@@ -21,7 +21,7 @@ from defres import (
     skew_shapes,
     stretch,
 )
-from defres.abacus import _cuts
+from defres.abacus import _cuts, _runner_cuts
 from defres.partitions import _skew_key
 
 from conftest import horizontal, parity, partitions, strip_oracle
@@ -185,6 +185,7 @@ class TestCuts:
         # 30,000 runners, one holding boxes: the others keep their beads as
         # they are, so the cut costs one read of the display
         _cuts.cache_clear()
+        _runner_cuts.cache_clear()
         start = time.perf_counter()
         ((tau, sign, key),) = _cuts((60000,), 30000, 1)
         assert time.perf_counter() - start < 1

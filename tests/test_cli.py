@@ -461,12 +461,15 @@ class TestDeepGamma:
             ["defres", "--shape", "1200", "--m", "1", "--gamma", ONES],
             ["defres", "--shape", "1200", "--m", "1200", "--theta", "1199,1",
              "--gamma", "1"],
+            ["defres", "--shape", "2800", "--m", "2", "--theta", "2",
+             "--evaluator", "recursive", "--gamma", ",".join(["2"] * 700)],
         ],
-        ids=["mn", "tableaux", "defres", "cells"],
+        ids=["mn", "tableaux", "defres", "cells", "closing-run"],
     )
     def test_recursion_limit_exits_1(self, capsys, argv):
         # the strip recursions go one level deeper per part of gamma and the
-        # LR fillings per cell; the last case has no long gamma
+        # LR fillings per cell; "cells" has no long gamma, and route 2 walks
+        # a closing run of 700 2-cycles as 700 1-cycles on its 2-quotient
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
@@ -474,6 +477,15 @@ class TestDeepGamma:
             "error: input too deep for the recursion limit (one level per "
             "part or cell)\n"
         )
+
+    def test_long_closing_run_evaluates(self, capsys):
+        # 300 2-cycles read the 2-quotient of 1200 once, then walk 300
+        # 1-cycles on its one-row component, one level each
+        code, out, err = run(
+            capsys, "defres", "--shape", "1200", "--m", "2", "--theta", "2",
+            "--evaluator", "recursive", "--gamma", ",".join(["2"] * 300),
+        )
+        assert (code, out, err) == (0, "value: 1\nevaluator: recursive\n", "")
 
     def test_many_rows_evaluate(self, capsys):
         # the abacus is read in one loop over the 1200 rows, one level in

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import operator
 import pkgutil
+import random
 import sys
 from fractions import Fraction
 
@@ -35,9 +36,13 @@ from defres import (
     stretch,
 )
 from defres import abacus
-from defres.abacus import _cuts
-from defres.deflation import _cycle_value, _recursive, _single_cycle, _skew_key, _waistlines
+from defres.abacus import _cuts, _runner_cuts
+from defres.deflation import (
+    _cycle_value, _recursive, _single_cycle, _skew_key, _stacked, _waistlines
+)
 from defres.perms import with_cycle_type
+
+from conftest import sample_skews
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))
 BIG = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
@@ -186,8 +191,9 @@ class TestDefresRecursive:
         assert self.closed_sweep(pairs) == 41198
 
     def test_agrees_with_closed_routes_at_m_n_18(self):
-        # (3, 6) gives 19,250 instances, (6, 3) 5,250 and (9, 2) 3,500
-        assert self.closed_sweep(((3, 6), (6, 3), (9, 2))) == 28000
+        # (2, 9) gives 52,500 instances, (3, 6) 19,250, (6, 3) 5,250 and
+        # (9, 2) 3,500
+        assert self.closed_sweep(((2, 9), (3, 6), (6, 3), (9, 2))) == 80500
 
     @staticmethod
     def oracle_sweep(pairs):
@@ -215,6 +221,31 @@ class TestDefresRecursive:
     def test_matches_oracle_at_m_n_18(self):
         # (3, 6) gives 9,625 instances, (6, 3) 23,625 and (9, 2) 49,000
         assert self.oracle_sweep(((3, 6), (6, 3), (9, 2))) == 82250
+
+    def test_closing_runs_match_oracle_past_exhaustive_sizes(self):
+        # m * n in 20..24: a seeded sample of 50 shapes per cell, inner shape
+        # of at most 4 boxes, at every gamma whose smallest part is above 1
+        # and repeated, so the walk ends in one quotient read of a closing
+        # run.  m = 2 has no kappa but trivial and sign, and no partition of
+        # 5 has a repeated smallest part above 1, so the cells are (3, 7),
+        # (3, 8) and (4, 6)
+        rng = random.Random(1)
+        checked = nonzero = negative = 0
+        for m, n in ((3, 7), (3, 8), (4, 6)):
+            gammas = [g for g in partitions_of(n) if g[-1] > 1 and g.count(g[-1]) > 1]
+            shapes = sample_skews(rng, m * n, 50)
+            for label in partitions_of(m)[1:-1]:
+                theta = irreducible_character(label)
+                for gamma in gammas:
+                    g = with_cycle_type(gamma, n)
+                    for shape in shapes:
+                        want = oracle_defres(shape, theta, n, g)
+                        got = defres_recursive(query(shape, m, label, gamma))
+                        assert got == want, (shape, label, gamma)
+                        checked += 1
+                        nonzero += want != 0
+                        negative += want < 0
+        assert (checked, nonzero, negative) == (500, 206, 80)
 
     def test_one_cycles_off_long_rows(self):
         # gamma = 1^4 at m = 7 on shapes with long rows, where the row bound
@@ -348,6 +379,86 @@ class TestSingleCycleClassTable:
         assert count == 16034
 
 
+def components(size):
+    # every connected skew shape of `size` boxes as its rows (start, end),
+    # top to bottom, the last starting at column 0: built from the bottom
+    # up, a row starts and ends no further left than the row below and
+    # starts before that row ends
+    def grow(rows, left):
+        if not left:
+            yield rows[::-1]
+            return
+        start, end = rows[-1]
+        for s in range(start, end):
+            for e in range(max(end, s + 1), s + left + 1):
+                yield from grow(rows + [(s, e)], left - (e - s))
+
+    for e in range(1, size + 1):
+        yield from grow([(0, e)], size - e)
+
+
+def every_key(total):
+    # the _skew_key of every skew shape with at most `total` boxes: every
+    # multiset of canonical connected components
+    comps = [
+        (size, _skew_key([e for _, e in rows], [s for s, _ in rows])[0])
+        for size in range(1, total + 1)
+        for rows in components(size)
+    ]
+    comps = sorted(set(comps))
+
+    def pick(first, left, chosen):
+        yield tuple(sorted(chosen))
+        for i in range(first, len(comps)):
+            size, comp = comps[i]
+            if size <= left:
+                yield from pick(i, left - size, chosen + [comp])
+
+    return pick(0, total, [])
+
+
+class TestClosingRun:
+    def test_stacked_round_trip(self):
+        # the components stacked corner to corner form a skew shape with
+        # the same key
+        count = 0
+        for key in every_key(10):
+            outer, inner = _stacked(key)
+            SkewPartition(outer, inner)
+            assert _skew_key(outer, inner) == key, key
+            count += 1
+        assert count == 4879
+
+    def test_matches_the_induced_characters(self):
+        # at gamma = (c^j), c and j above 1, the value is the quotient sign
+        # times <s_Q, s_kappa^j>, Q the direct sum of the quotient
+        # components: by characters, the inner product of the character
+        # induced from the components with the one induced from j copies
+        # of chi^kappa
+        count = nonzero = 0
+        for shape in key_sweep():
+            for c, j in itertools.product(range(2, 5), range(2, 5)):
+                if not shape.size or shape.size % (c * j):
+                    continue
+                m = shape.size // (c * j)
+                if not is_n_decomposable(shape, c):
+                    for kappa in partitions_of(m):
+                        assert _cycle_value(*shape, c, kappa, j, m) == 0, (shape, c, kappa)
+                    continue
+                quotient = n_quotient(shape, c)
+                thetas = [skew_character(comp) for comp in quotient.components]
+                classes = partitions_of(m * j)
+                induced = ClassFunction(m * j, {a: induced_value(thetas, a) for a in classes})
+                for kappa in partitions_of(m):
+                    power = [irreducible_character(kappa)] * j
+                    chis = ClassFunction(m * j, {a: induced_value(power, a) for a in classes})
+                    want = quotient.sign * inner_product(induced, chis)
+                    assert _cycle_value(*shape, c, kappa, j, m) == want, (shape, c, kappa)
+                    count += 1
+                    nonzero += want != 0
+        assert (count, nonzero) == (831, 739)
+
+
 class TestSingleCycleMemo:
     def test_cold_query_computes_each_character_once(self):
         # 1,209 single-cycle values; keyed on the quotient components they
@@ -357,6 +468,7 @@ class TestSingleCycleMemo:
         _single_cycle.cache_clear()
         _recursive.cache_clear()
         _cuts.cache_clear()
+        _runner_cuts.cache_clear()
         got = defres_recursive(query(shape, 3, (2, 1), gamma))
         assert _single_cycle.cache_info().misses <= 1000
         theta = irreducible_character((2, 1))
@@ -364,7 +476,8 @@ class TestSingleCycleMemo:
 
     def test_only_the_last_cycle_reads_the_abacus(self, monkeypatch):
         # the cut table carries each waistline's sign and key, so the walk
-        # reads quotients only for the last part of gamma: none when it is 1
+        # reads quotients only for the closing run of gamma: none when it is
+        # a 1-cycle
         callers = []
         read = abacus._quotient
 
@@ -373,13 +486,26 @@ class TestSingleCycleMemo:
             return read(shape, n)
 
         monkeypatch.setattr(abacus, "_quotient", spy)
-        for memo in (_single_cycle, _recursive, _cuts, read):
+        for memo in (_single_cycle, _recursive, _cuts, _runner_cuts, read):
             memo.cache_clear()
         shape = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
         defres_recursive(query(shape, 3, (2, 1), (4, 3, 2, 1, 1, 1)))
         assert set(callers) <= {"_cycle_value"}, set(callers)
         defres_recursive(query(shape, 3, (2, 1), (4, 4, 2, 2)))
         assert callers and set(callers) == {"_cycle_value"}, set(callers)
+
+    def test_closing_run_reads_one_quotient(self):
+        # gamma = (2, 2, 2) is one closing run: the shape's 2-quotient is read
+        # once and the 1-cycle walk runs on its components stacked into one
+        # shape, with no cut table
+        shape = SkewPartition((6, 4, 4, 2, 2, 2, 1, 1), (2, 1, 1))
+        for memo in (_single_cycle, _recursive, _cuts, _runner_cuts, abacus._quotient):
+            memo.cache_clear()
+        got = defres_recursive(query(shape, 3, (2, 1), (2, 2, 2)))
+        assert _cuts.cache_info().misses == 0
+        assert abacus._quotient.cache_info().misses == 1
+        theta = irreducible_character((2, 1))
+        assert got == oracle_defres(shape, theta, 6, with_cycle_type((2, 2, 2), 6)) == 138
 
     def test_non_zero_value_at_m_n_18(self):
         shape = SkewPartition((8, 6, 4, 2), (2,))

@@ -213,7 +213,8 @@ def farahat_check(shape: SkewPartition, n: int, alpha) -> tuple[int, int]:
     if not is_n_decomposable(shape, n):
         return lhs, 0
     quotient = n_quotient(shape, n)
-    thetas = tuple(skew_character(comp) for comp in quotient.components)
+    # a boxless component's character is 1 on S_0 and takes no cycles
+    thetas = tuple(skew_character(comp) for comp in quotient.components if comp.size)
     return lhs, quotient.sign * _induced(thetas, alpha)
 
 
@@ -221,17 +222,20 @@ def defres_sign(query: DeflationQuery) -> int:
     """Deflation through the sign character, via the conjugate shape.
 
     Equals the trivial deflation of the conjugate shape, twisted by the
-    sign of the evaluation class when m is odd.
+    sign of the evaluation class when m is odd.  Each shape is conjugated
+    once (``_conjugate``), as a sweep asks for it at every cycle type.
     """
     if query.theta != (1,) * query.m:
         raise ValueError("defres_sign requires the sign deflating character")
-    conj = SkewPartition(
-        query.shape.outer.conjugate(), query.shape.inner.conjugate()
-    )
-    value = a_coefficient(conj, query.m, query.gamma)
+    value = a_coefficient(_conjugate(query.shape), query.m, query.gamma)
     if query.m % 2 == 1:
         value *= (-1) ** (query.n - len(query.gamma))
     return value
+
+
+@cache
+def _conjugate(shape: SkewPartition) -> SkewPartition:
+    return SkewPartition(shape.outer.conjugate(), shape.inner.conjugate())
 
 
 def defres_degree(lam, kappa) -> int:

@@ -72,9 +72,7 @@ class Composition(tuple):
         """The parts as a plain tuple."""
         return tuple(self)
 
-    @property
-    def size(self) -> int:
-        return sum(self)
+    size = property(sum, doc="The sum of the parts.")
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({tuple(self)!r})"
@@ -159,7 +157,8 @@ class SkewPartition(_record("SkewPartition", "outer inner")):
 
     @property
     def size(self) -> int:
-        return self.outer.size - self.inner.size
+        outer, inner = self
+        return sum(outer) - sum(inner)
 
     def __repr__(self) -> str:
         return f"SkewPartition({tuple(self.outer)!r}, {tuple(self.inner)!r})"

@@ -14,20 +14,25 @@ matters, which is what the grouped oracle exploits.
 
 ``oracle_defres`` averages psi * tilde_theta over the base group.  The
 default path needs, per cycle length s of g, only the multiset of classes
-on its k_s cycles (a conjugacy class of the wreath product).  Summed in
-integers, these depend on theta and the cycle lengths of g alone, read once
-per g, so the sum is memoised on them as (weight, cycle type) terms, equal
-types merged and zero weights dropped.  The naive path sums over all (m!)^n
-base tuples as an independent check.  A budget, checked first, bounds the
-prod_s C(p(m) + k_s - 1, k_s) class multisets or the (m!)^n base tuples.
+on its k_s cycles (a conjugacy class of the wreath product).  A plan
+memoised per (m, g), ``_plan``, holds g's (s, k_s) pairs, the
+prod_s C(p(m) + k_s - 1, k_s) class multisets that the budget bounds, and
+the order (m!)^l of the base group, l the cycles of g.  Summed in integers,
+the terms depend on theta and those pairs alone, so ``_expansion`` memoises
+them as two tuples, the weights and the cycle types, equal types merged and
+zero weights dropped; a call is then one dot product of the weights with
+the skew character at the types.  The naive path sums over all (m!)^n base
+tuples as an independent check, bounded by the same budget.  The budget is
+checked before anything is expanded.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cache, reduce
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, product, repeat
 from math import comb, factorial, prod
+from operator import mul
 
 from .borderstrips import _mn, mn_value
 from .partitions import Partition, SkewPartition, _record, centralizer_order, partitions_of
@@ -118,28 +123,30 @@ def oracle_defres(
         raise ValueError(f"|{shape}| = {shape.size} must equal m * n = {m * n}")
     if naive:
         return _oracle_naive(shape, theta, n, g, budget)
-    lengths = _cycle_lengths(tuple(g))
-    classes = len(partitions_of(m))
-    needed = prod(comb(classes + k - 1, k) for _, k in lengths)
+    lengths, needed, order = _plan(m, tuple(g))
     if needed > budget:
         raise BudgetExceeded(
             f"grouped oracle needs {needed} class multisets, budget {budget}"
         )
     outer, inner = shape
-    total = sum(w * _mn(outer, inner, parts) for w, parts in _expansion(theta, lengths))
-    order = factorial(m) ** sum(k for _, k in lengths)
+    weights, types = _expansion(theta, lengths)
+    total = sum(map(mul, weights, map(_mn, repeat(outer), repeat(inner), types)))
     assert total % order == 0, "oracle average is not integral"
     return total // order
 
 
 @cache
-def _cycle_lengths(g: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    # g's (cycle length, count) pairs, lengths ascending; cycles validates g
-    return tuple(sorted(Counter(map(len, cycles(g))).items()))
+def _plan(m: int, g: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    # g's (cycle length, count) pairs, lengths ascending, the class multisets
+    # the budget counts and (m!)^l, l the cycles of g; cycles validates g
+    lengths = tuple(sorted(Counter(map(len, cycles(g))).items()))
+    classes = len(partitions_of(m))
+    needed = prod(comb(classes + k - 1, k) for _, k in lengths)
+    return lengths, needed, factorial(m) ** sum(k for _, k in lengths)
 
 
 @cache
-def _expansion(theta, lengths) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _expansion(theta, lengths) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     m = theta.degree
     # |beta| * theta(beta), |beta| = m! / z_beta the size of the class
     weight = {b: factorial(m) // centralizer_order(b) * theta(b) for b in partitions_of(m)}
@@ -154,7 +161,7 @@ def _expansion(theta, lengths) -> tuple[tuple[int, tuple[int, ...]], ...]:
             for parts, v in terms.items():
                 merged[tuple(sorted(parts + cycles_s, reverse=True))] += w * v
         terms = {parts: w for parts, w in merged.items() if w}
-    return tuple((w, parts) for parts, w in terms.items())
+    return tuple(terms.values()), tuple(terms)
 
 
 def _oracle_naive(shape, theta, n, g, budget):

@@ -35,8 +35,9 @@ from defres import (
     skew_shapes,
     stretch,
 )
-from defres import abacus
+from defres import abacus, deflation
 from defres.abacus import _cuts, _runner_cuts
+from defres.characters import _induced
 from defres.deflation import (
     _cycle_value, _recursive, _single_cycle, _skew_key, _stacked, _waistlines
 )
@@ -560,6 +561,13 @@ class TestRouteIndependence:
         ), filled
         assert "borderstrips._a_count" not in filled
 
+    def test_sign_fills_only_strip_memos_and_its_conjugation_memo(self):
+        q = query(self.SHAPE, 3, (1, 1, 1), self.GAMMA)
+        filled = self.filled(lambda: defres_sign(q))
+        assert filled == {
+            "borderstrips._a_count", "borderstrips._strip_removals", "deflation._conjugate"
+        }
+
 
 class TestFarahatCheck:
     def test_worked_example(self):
@@ -588,6 +596,20 @@ class TestFarahatCheck:
                         lhs, rhs = farahat_check(shape, n, alpha)
                         assert lhs == rhs, (shape, n, alpha)
 
+    def test_induces_only_from_components_with_boxes(self, monkeypatch):
+        # a character of S_0 is 1 and takes no cycles, so a boxless
+        # quotient component is left out of the induction
+        factors = []
+
+        def induced(thetas, alpha):
+            factors.extend(thetas)
+            return _induced(thetas, alpha)
+
+        monkeypatch.setattr(deflation, "_induced", induced)
+        assert farahat_check(SkewPartition((4,)), 4, (1,)) == (1, 1)
+        assert farahat_check(BIG, 3, (2, 1, 1, 1)) == (-2, -2)
+        assert factors and all(th.degree for th in factors)
+
 
 class TestDefresSign:
     def test_requires_sign_theta(self):
@@ -611,6 +633,29 @@ class TestDefresSign:
                 assert defres_sign(query(shape, m, label, gamma)) == defres_recursive(
                     query(shape, m, label, gamma)
                 )
+
+    def test_closed_forms_match_oracle_past_exhaustive_sizes(self):
+        # m * n in 20..24: route 1 at trivial theta and the sign closed form
+        # at sign, at every gamma, on a seeded sample of shapes per cell with
+        # inner shape of at most 4 boxes; one shape per cell at m = 2, where
+        # route 1 walks the most strips
+        rng = random.Random(1)
+        checked = nonzero = negative = 0
+        cells = ((2, 10, 1), (2, 11, 1), (2, 12, 1), (3, 7, 2), (3, 8, 2), (4, 5, 3), (4, 6, 2))
+        for m, n, count in cells:
+            shapes = sample_skews(rng, m * n, count)
+            for label, closed in (((m,), defres_theorem), ((1,) * m, defres_sign)):
+                theta = irreducible_character(label)
+                for gamma in partitions_of(n):
+                    g = with_cycle_type(gamma, n)
+                    for shape in shapes:
+                        want = oracle_defres(shape, theta, n, g)
+                        got = closed(query(shape, m, label, gamma))
+                        assert got == want, (shape, label, gamma)
+                        checked += 1
+                        nonzero += want != 0
+                        negative += want < 0
+        assert (checked, nonzero, negative) == (584, 252, 106)
 
     def test_even_m_equals_conjugate_trivial_case(self):
         shape = SkewPartition((3, 2, 1, 1, 1))

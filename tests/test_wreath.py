@@ -22,7 +22,7 @@ from defres import (
     to_permutation,
 )
 from defres.perms import all_permutations, cycle_type_of, cycles, with_cycle_type
-from defres.wreath import _along, _cycle_lengths, _expansion
+from defres.wreath import _along, _expansion, _plan
 
 from conftest import parity
 
@@ -189,16 +189,16 @@ class TestOracleDefres:
     @pytest.mark.parametrize("naive", [False, True])
     def test_top_not_a_permutation(self, naive):
         # g = (0, 0) has the right length but no cycle through point 1; a
-        # valid g read first gives the per-g memo no way around the check,
-        # and the failed read is not memoised
+        # valid g read first gives the per-(m, g) plan no way around the
+        # check, and the failed read is not memoised
         theta = irreducible_character((2,))
         shape = SkewPartition((2, 2))
         oracle_defres(shape, theta, 2, (1, 0), naive=naive)
-        size = _cycle_lengths.cache_info().currsize
+        size = _plan.cache_info().currsize
         for _ in range(2):
             with pytest.raises(ValueError, match="not a permutation"):
                 oracle_defres(shape, theta, 2, (0, 0), naive=naive)
-        assert _cycle_lengths.cache_info().currsize == size
+        assert _plan.cache_info().currsize == size
 
     def test_budget(self):
         theta = ClassFunction.trivial(3)
@@ -208,15 +208,17 @@ class TestOracleDefres:
         # grouped: multisets of 3 of the p(3) = 3 classes, C(5, 3) = 10; the
         # budget is checked before anything is expanded
         _expansion.cache_clear()
-        _cycle_lengths.cache_clear()
+        _plan.cache_clear()
         with pytest.raises(BudgetExceeded, match="needs 10 class multisets, budget 9"):
             oracle_defres(shape, theta, 3, (0, 1, 2), budget=9)
         assert _expansion.cache_info().currsize == 0
-        assert _cycle_lengths.cache_info().currsize == 1  # read for the budget
+        assert _plan.cache_info().currsize == 1  # read for the budget
+        assert _plan(3, (0, 1, 2)) == (((1, 3),), 10, factorial(3) ** 3)
         naive = oracle_defres(shape, theta, 3, (0, 1, 2), naive=True)
         assert oracle_defres(shape, theta, 3, (0, 1, 2), budget=10) == naive
         assert _expansion.cache_info().currsize == 1
-        assert len(_expansion(theta, ((1, 3),))) <= 10
+        weights, types = _expansion(theta, ((1, 3),))
+        assert len(weights) == len(types) <= 10
 
     def test_worked_example(self):
         shape = SkewPartition((6, 5, 3, 2), (3, 1))
@@ -255,23 +257,27 @@ class TestOracleDefres:
                 for n in range(1, 5):
                     for gamma in partitions_of(n):
                         lengths = tuple(sorted(Counter(gamma).items()))
-                        terms = _expansion(theta, lengths)
-                        for w, parts in terms:
-                            assert w != 0
+                        weights, types = _expansion(theta, lengths)
+                        assert len(weights) == len(types) == len(set(types))
+                        assert 0 not in weights
+                        for parts in types:
                             assert list(parts) == sorted(parts, reverse=True)
                             assert sum(parts) == m * n
                         want = factorial(m) ** len(gamma) if kappa == (m,) else 0
-                        assert sum(w for w, _ in terms) == want, (kappa, gamma)
+                        assert sum(weights) == want, (kappa, gamma)
 
     def test_expansion_is_shared_across_shapes(self):
-        # one cell sweep expands once per cycle type of g, p(n) times
+        # one cell sweep plans and expands once per cycle type of g, p(n)
+        # times each
         for m, n in ((2, 3), (3, 2), (2, 4), (3, 3)):
             theta = irreducible_character((m - 1, 1))
             _expansion.cache_clear()
+            _plan.cache_clear()
             for shape in skew_shapes(m * n, 1):
                 for gamma in partitions_of(n):
                     oracle_defres(shape, theta, n, with_cycle_type(gamma.parts, n))
             assert _expansion.cache_info().misses == len(partitions_of(n))
+            assert _plan.cache_info().misses == len(partitions_of(n))
 
     def test_class_function_of_the_top_type(self):
         # the average may only depend on the cycle type of g

@@ -19,22 +19,27 @@ mu-beads they migrate to; its parity is the sign that relates signed strip
 counts on lambda/mu to signed strip counts on the quotient.
 
 Decomposability, the quotient components, the relabelling and the sign all
-come from one pass over the paired displays, ``_quotient``, keyed on the
-skew shape and n; it keeps its last result, so ``is_n_decomposable``
-followed by ``n_quotient`` reads a shape's abacus once, on ordered bead
-lists.  ``_cuts`` lists, from lambda's display alone, every entry
-(tau, sign, key) with lambda/tau n-decomposable of a given size: tau comes
-with its quotient's sign and components key (``partitions._skew_key``),
-each runner's cuts of a size listed once by ``_runner_cuts``.
+come from one pass over the two plain bead lists, ``_quotient``, keyed on
+the skew shape and n: residue counts first, then each runner's rows,
+ascending already, decoded without a sort.  It keeps its last result, so
+``is_n_decomposable`` followed by ``n_quotient`` reads a shape's abacus
+once.  ``_cuts`` lists, from lambda's display alone, every entry
+(tau, sign, key) with lambda/tau n-decomposable of |kappa| * n boxes and
+every quotient component in kappa's box (rows of at most kappa_1 boxes,
+columns of at most len(kappa); Macdonald, I.9: the others weigh 0), with
+its quotient's sign and components key (``partitions._skew_key``), each
+runner's cuts of a size listed once by ``_runner_cuts``.
 ``display`` draws an ``AbacusDisplay`` for callers and printing; like the
 shapes, it is a tuple, the pair ``(runners, beads)``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import namedtuple
 from functools import cache, lru_cache
-from operator import index
+from itertools import count
+from operator import add, gt, index, sub
 
 from .borderstrips import BorderStripTableau
 from .partitions import Partition, SkewPartition, _record, _skew_key, intermediates
@@ -44,13 +49,13 @@ def _beads(parts: tuple[int, ...], nbeads: int) -> list[int]:
     # bead positions, ascending: the padding's 0..pad-1, then the parts from the bottom
     pad = nbeads - len(parts)
     assert pad >= 0
-    return [*range(pad), *(part + pad + i for i, part in enumerate(reversed(parts)))]
+    return [*range(pad), *map(add, reversed(parts), range(pad, nbeads))]
 
 
 def _partition_of_betas(betas) -> Partition:
-    # the j-th lowest bead gives the j-th lowest part (zeros dropped); distinct
-    # beads give weakly increasing parts, so the reversal needs no validation
-    parts = [p for j, b in enumerate(sorted(betas)) if (p := b - j)]
+    # ascending distinct beads: the j-th gives the j-th lowest part (zeros
+    # dropped), so the parts weakly increase and need no validation
+    parts = [*filter(None, map(sub, betas, count()))]
     return tuple.__new__(Partition, parts[::-1])
 
 
@@ -86,7 +91,7 @@ class AbacusDisplay(_record("AbacusDisplay", "runners beads")):
 
     def partition(self) -> Partition:
         """The partition this display encodes."""
-        return _partition_of_betas(self.beads)
+        return _partition_of_betas(sorted(self.beads))
 
     def numbering(self) -> dict[int, int]:
         """Bead numbers 1..N in increasing order of position."""
@@ -143,18 +148,13 @@ class QuotientData(namedtuple("QuotientData", "components relabelling sign")):
     __slots__ = ()
 
 
-def _runners(parts, n: int, nbeads: int) -> list[list[tuple[int, int]]]:
-    # the display of parts with nbeads beads, runner by runner: the
-    # (bead number, row) of each bead, in order down the runner
-    side: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for k, pos in enumerate(_beads(parts, nbeads)):
-        side[pos % n].append((k, pos // n))
+def _runners(parts, n: int, nbeads: int) -> list[list[int]]:
+    # the display of parts with nbeads beads, runner by runner: the rows of
+    # its beads, ascending down the runner
+    side: list[list[int]] = [[] for _ in range(n)]
+    for pos in _beads(parts, nbeads):
+        side[pos % n].append(pos // n)
     return side
-
-
-def _runner_partitions(side: list[list[tuple[int, int]]]) -> list[Partition]:
-    # the partition on each runner of a _runners display, read off its rows
-    return [_partition_of_betas([row for _, row in beads]) for beads in side]
 
 
 def _sorting_sign(beads) -> int:
@@ -172,48 +172,59 @@ def _sorting_sign(beads) -> int:
 @lru_cache(maxsize=1)
 def _quotient(shape: SkewPartition, n: int) -> QuotientData | None:
     # The one pass over the paired displays (equal bead counts, sized from
-    # the outer shape) behind every quotient here.  None unless each runner
-    # carries equally many outer and inner beads, the inner rows dominated
-    # by the outer rows; beads are matched runner by runner, in order.
-    # One entry: callers ask is_n_decomposable, then n_quotient, of a shape.
+    # the outer shape) behind every quotient here.  None unless the sorted
+    # residues agree, then unless the outer rows dominate the inner rows:
+    # each side's bead numbers sorted stably by runner, so each runner's rows
+    # ascend, matched in order.  Dominance implies containment, so the
+    # components go unvalidated.  One entry: callers ask is_n_decomposable,
+    # then n_quotient, of a shape.
     outer, inner = shape
     nbeads = n * _bead_rows(len(outer), n)
-    runners = [_runners(parts, n, nbeads) for parts in (outer, inner)]
-    rho = [0] * nbeads
-    for beads_outer, beads_inner in zip(*runners):
-        if len(beads_outer) != len(beads_inner):
-            return None
-        for (k, x), (l, y) in zip(beads_outer, beads_inner):
-            if y > x:
-                return None
-            rho[k] = l
-    components = tuple(map(SkewPartition, *map(_runner_partitions, runners)))
-    return QuotientData(components, tuple(r + 1 for r in rho), _sorting_sign(rho))
+    beads = [_beads(outer, nbeads), _beads(inner, nbeads)]
+    residues = [[b % n for b in side] for side in beads]
+    runs = sorted(residues[0])
+    if runs != sorted(residues[1]):
+        return None
+    orders = [sorted(range(nbeads), key=r.__getitem__) for r in residues]
+    rows = [[side[k] // n for k in order] for side, order in zip(beads, orders)]
+    if any(map(gt, rows[1], rows[0])):
+        return None
+    relabelling = tuple([l + 1 for _, l in sorted(zip(*orders))])
+    ends = [bisect_right(runs, i) for i in range(n)]
+    components = tuple(
+        tuple.__new__(SkewPartition, [_partition_of_betas(side[a:b]) for side in rows])
+        for a, b in zip([0, *ends], ends)
+    )
+    return QuotientData(components, relabelling, _sorting_sign(relabelling))
 
 
 @cache
-def _runner_cuts(part: Partition, k: int, nbeads: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
-    # every rho inside one runner's partition with k boxes fewer, as its bead
-    # rows on nbeads beads and _skew_key(part, rho), in intermediates' order
+def _runner_cuts(part: Partition, k: int, nbeads: int, width: int, depth: int) -> tuple:
+    # every rho inside one runner's partition, k boxes fewer, with part/rho
+    # in a width x depth box (rho_j >= part_j - width, part_(j+depth)): its
+    # bead rows on nbeads beads and _skew_key(part, rho), in intermediates' order
+    floor = tuple(map(max, [p - width for p in part], part[depth:] + (0,) * depth))
     return tuple(
         (tuple(_beads(rho, nbeads)), _skew_key(part, rho))
-        for rho in intermediates((part, ()), sum(part) - k)
+        for rho in intermediates((part, floor), sum(part) - k - sum(floor))
     )
 
 
 @cache
-def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[Partition, int, tuple], ...]:
-    # Every (tau, sign, key) with outer/tau n-decomposable of m*n boxes: each
-    # runner partition lambda^(i) loses a sub-diagram rho_i, m boxes in all;
-    # sign is the relabelling parity (both sides' beads listed alike) and key
-    # the sorted _skew_key(lambda^(i), rho_i).  Runners without boxes keep their
+def _cuts(outer: tuple[int, ...], n: int, kappa: tuple[int, ...]) -> tuple:
+    # Every (tau, sign, key) with outer/tau n-decomposable of m*n boxes,
+    # m = |kappa|, its quotient components in kappa's box: each runner
+    # partition lambda^(i) loses a sub-diagram rho_i, m boxes in all; sign is
+    # the relabelling parity (both sides' beads listed alike) and key the
+    # sorted _skew_key(lambda^(i), rho_i).  Runners without boxes keep their
     # beads; over the rest, a partial cut (beads, boxes cut, key) stays while
     # the runners after it can make up m.  A runner's cuts of each size come
     # from _runner_cuts, placed on its runner i as positions i + n*y.
+    m = sum(kappa)
     runners = _runners(outer, n, n * _bead_rows(len(outer), n))
-    parts = _runner_partitions(runners)
-    kept = tuple(i + n * y for i, part in enumerate(parts) if not part for _, y in runners[i])
-    moved = tuple(i + n * y for i, part in enumerate(parts) if part for _, y in runners[i])
+    parts = list(map(_partition_of_betas, runners))
+    kept = tuple(i + n * y for i, part in enumerate(parts) if not part for y in runners[i])
+    moved = tuple(i + n * y for i, part in enumerate(parts) if part for y in runners[i])
     sign = _sorting_sign(kept + moved)
     room = sum(map(sum, parts))
     found = [(kept, 0, ())]
@@ -229,12 +240,12 @@ def _cuts(outer: tuple[int, ...], n: int, m: int) -> tuple[tuple[Partition, int,
                 if k not in options:
                     options[k] = [
                         (tuple([i + n * y for y in rows]), comps)
-                        for rows, comps in _runner_cuts(part, k, len(beads))
+                        for rows, comps in _runner_cuts(part, k, len(beads), kappa[0], len(kappa))
                     ]
                 grown += [(lifted + up, cut + k, key + comps) for up, comps in options[k]]
         found = grown
     return tuple(
-        (_partition_of_betas(lifted), sign * _sorting_sign(lifted), tuple(sorted(key)))
+        (_partition_of_betas(sorted(lifted)), sign * _sorting_sign(lifted), tuple(sorted(key)))
         for lifted, cut, key in found if cut == m
     )
 
@@ -286,7 +297,7 @@ def quotient_bijection(t: BorderStripTableau, n: int) -> list[BorderStripTableau
     if any(alpha[i] < alpha[i + 1] for i in range(len(alpha) - 1)):
         raise ValueError(f"type {type_} is not n times a partition")
     rows = _bead_rows(len(t.chain[-1]), n)
-    runners = [_runner_partitions(_runners(p, n, n * rows)) for p in t.chain]
+    runners = [list(map(_partition_of_betas, _runners(p, n, n * rows))) for p in t.chain]
     runner_chains = [[q] for q in runners[0]]
     runner_labels: list[list[int]] = [[] for _ in range(n)]
     for label, before, after in zip(t.labels, runners, runners[1:]):

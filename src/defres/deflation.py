@@ -17,26 +17,27 @@ Two independent evaluators are provided on top of the wreath oracle:
   c-cycle deflates through the c-quotient: the value is 0 unless the shape
   is c-decomposable, and otherwise it is the quotient sign times the LR
   fillings of content kappa of the quotient components
-  (``characters.lr_fillings``).  So for c > 1 tau runs over the table
-  ``abacus._cuts`` of lambda's c-abacus, shared by every mu, whose entries
-  (tau, sign, key) carry the quotient sign and components key of
-  lambda/tau: the walk reads the abacus only for gamma's closing run.  A
-  closing run of j equal parts c > 1 is one step: its value is 0 unless
-  the shape is c-decomposable, and otherwise the quotient sign times
-  <s_Q, s_kappa^j>, Q the direct sum of the quotient components (chains of
-  c-decomposable cuts are the chains of runner cuts, their signs multiply
-  along a chain, and <s_Q, s_kappa^j> sums the LR counts along those
-  chains; Macdonald, I.5 and I.9).  That is the 1-cycle walk of j steps
-  on the components stacked into one shape (``_stacked``).  The
-  1-quotient is the shape itself with sign +1, so a 1-cycle reads the LR
-  fillings directly, and tau runs over ``partitions.intermediates``
-  between two bounds (``_waistlines``).  An LR filling of content kappa
-  has rows of at most kappa_1 boxes and columns of at most len(kappa)
-  boxes (Macdonald, I.9); lambda/tau is one such filling and tau/mu is
-  k of them in a chain, k the 1-cycles left after this one.  So row by
-  row tau_i lies between the floor max(mu_i, lambda_i - kappa_1,
-  lambda_(i+len kappa)) and the ceiling min(lambda_i, mu_i + k kappa_1,
-  mu_(i - k len kappa)).
+  (``characters.lr_fillings``).  An LR filling of content kappa has rows
+  of at most kappa_1 boxes and columns of at most len(kappa) boxes
+  (Macdonald, I.9).  So for c > 1 tau runs over the table ``abacus._cuts``
+  of lambda's c-abacus for kappa, shared by every mu: runner by runner each
+  cut rho_j is at least max(part_j - kappa_1, part_(j+len kappa)), the
+  floor below, and the entries (tau, sign, key) carry the quotient sign and
+  components key of lambda/tau, so the walk reads the abacus only for
+  gamma's closing run.  A closing run of j equal parts c > 1 is one step:
+  its value is 0 unless the shape is c-decomposable, and otherwise the
+  quotient sign times <s_Q, s_kappa^j>, Q the direct sum of the quotient
+  components (chains of c-decomposable cuts are the chains of runner
+  cuts, their signs multiply along a chain, and <s_Q, s_kappa^j> sums the
+  LR counts along those chains; Macdonald, I.5 and I.9).  That is the
+  1-cycle walk of j steps on the components stacked into one shape
+  (``_stacked``).  The 1-quotient is the shape itself with sign +1, so a
+  1-cycle reads the LR fillings directly, and tau runs over
+  ``partitions.intermediates`` between two bounds (``_waistlines``):
+  lambda/tau is one such filling and tau/mu is k of them in a chain, k the
+  1-cycles left after this one.  So row by row tau_i lies between the floor
+  max(mu_i, lambda_i - kappa_1, lambda_(i+len kappa)) and the ceiling
+  min(lambda_i, mu_i + k kappa_1, mu_(i - k len kappa)).
 
 The LR count is written once, in ``_single_cycle``: its memo keys on
 ``partitions._skew_key`` (re-exported here), the connected components,
@@ -129,7 +130,7 @@ def _cycle_value(outer, inner, c: int, kappa: tuple[int, ...], j: int = 1, m: in
     """
     if c == 1:
         return _single_cycle(_skew_key(outer, inner), kappa)
-    shape = SkewPartition(outer, inner)
+    shape = tuple.__new__(SkewPartition, (outer, inner))  # valid already: not re-checked
     if not is_n_decomposable(shape, c):
         return 0
     quotient = n_quotient(shape, c)
@@ -172,7 +173,7 @@ def _recursive(
         taus = _waistlines(outer, inner, kappa, len(rest))
         cuts = ((tau, 1, _skew_key(outer, tau)) for tau in taus)
     else:
-        cuts = _cuts(outer, c, m)
+        cuts = _cuts(outer, c, kappa)
     total = 0
     for tau, sign, key in cuts:
         if c == 1 or _contains(tau, inner):

@@ -1,7 +1,10 @@
+import importlib
+import pkgutil
 from itertools import combinations
 
 import hypothesis.strategies as st
 
+import defres
 from defres import Partition, SkewPartition, partitions_of
 
 
@@ -50,6 +53,22 @@ def sample_skews(rng, total, count, inner_max=4):
         if outer.contains(inner):
             shapes.append(SkewPartition(outer, inner))
     return shapes
+
+
+def defres_memos():
+    """Every memo of the ``defres`` modules, by ``module.name``: each object
+    with a ``cache_clear`` defined in its module, the scan the benchmark
+    clears before each query."""
+    memos = {}
+    for info in pkgutil.iter_modules(defres.__path__):
+        module = importlib.import_module(f"defres.{info.name}")
+        for attr, obj in vars(module).items():
+            if (
+                callable(getattr(obj, "cache_clear", None))
+                and getattr(obj, "__module__", None) == module.__name__
+            ):
+                memos[f"{info.name}.{attr}"] = obj
+    return memos
 
 
 def boxes(shape):

@@ -1,5 +1,6 @@
 import itertools
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,9 +23,10 @@ from defres import (
     stretch,
 )
 from defres.abacus import _cuts, _runner_cuts
+from defres.deflation import _single_cycle
 from defres.partitions import _skew_key
 
-from conftest import horizontal, parity, partitions, strip_oracle
+from conftest import boxes, horizontal, parity, partitions, strip_oracle
 
 BIG_OUTER = Partition((8, 5, 3, 2, 2, 2))
 BIG_INNER = Partition((2, 2, 1, 1, 1))
@@ -154,32 +156,53 @@ class TestIsNDecomposable:
                     assert got == decomposable_oracle(shape, n), (shape, n)
 
 
+def fits_box(shape, kappa):
+    # no row of the skew shape holds more than kappa_1 boxes and no column
+    # more than len(kappa), counted on its cells
+    cells = boxes(shape)
+    rows = Counter(r for r, _ in cells)
+    cols = Counter(c for _, c in cells)
+    return max(rows.values(), default=0) <= kappa[0] and max(cols.values(), default=0) <= len(kappa)
+
+
+def components_key(quotient):
+    # the sorted _skew_key components of every quotient component
+    return tuple(sorted(k for comp in quotient.components for k in _skew_key(*comp)))
+
+
 class TestCuts:
     def test_lists_exactly_the_decomposable_cuts(self):
-        # the cut table of lambda against the filter over every waistline;
-        # each entry carries the quotient's sign and its sorted components key
+        # the cut table of lambda for kappa against the filter over every
+        # waistline: decomposable, and every quotient component inside
+        # kappa's box; each entry carries the quotient's sign and its sorted
+        # components key
         checked = listed = 0
         for size in range(13):
             for lam in partitions_of(size):
                 for c in range(2, 7):
                     for m in range(1, size // c + 1):
-                        table = _cuts(lam.parts, c, m)
-                        got = [tau for tau, _, _ in table]
-                        want = [
-                            tau
+                        quotients = [
+                            (tau, n_quotient(SkewPartition(lam, tau), c))
                             for tau in intermediates((lam, ()), size - m * c)
                             if is_n_decomposable(SkewPartition(lam, tau), c)
                         ]
-                        assert sorted(got) == sorted(want), (lam, c, m)
-                        assert len(set(got)) == len(got), (lam, c, m)
-                        for tau, sign, key in table:
-                            quotient = n_quotient(SkewPartition(lam, tau), c)
-                            assert sign == quotient.sign, (lam, tau, c)
-                            comps = [k for comp in quotient.components for k in _skew_key(*comp)]
-                            assert key == tuple(sorted(comps)), (lam, tau, c)
-                        checked += 1
-                        listed += len(got)
-        assert (checked, listed) == (3404, 4316)
+                        for kappa in partitions_of(m):
+                            table = _cuts(lam.parts, c, kappa)
+                            got = [tau for tau, _, _ in table]
+                            want = [
+                                tau
+                                for tau, quotient in quotients
+                                if all(fits_box(comp, kappa) for comp in quotient.components)
+                            ]
+                            assert sorted(got) == sorted(want), (lam, c, kappa)
+                            assert len(set(got)) == len(got), (lam, c, kappa)
+                            for tau, sign, key in table:
+                                quotient = n_quotient(SkewPartition(lam, tau), c)
+                                assert sign == quotient.sign, (lam, tau, c)
+                                assert key == components_key(quotient), (lam, tau, c)
+                            checked += 1
+                            listed += len(got)
+        assert (checked, listed) == (8507, 6676)
 
     def test_runners_without_boxes_are_not_cut(self):
         # 30,000 runners, one holding boxes: the others keep their beads as
@@ -187,10 +210,39 @@ class TestCuts:
         _cuts.cache_clear()
         _runner_cuts.cache_clear()
         start = time.perf_counter()
-        ((tau, sign, key),) = _cuts((60000,), 30000, 1)
+        ((tau, sign, key),) = _cuts((60000,), 30000, (1,))
         assert time.perf_counter() - start < 1
         assert (tau, sign, key) == ((30000,), 1, (((0, 1),),))
         assert type(tau) is Partition
+
+
+class TestCutBound:
+    def test_drops_only_zero_terms(self):
+        # every lambda of at most 12 boxes, c <= 4 and kappa of m <= 4: a
+        # decomposable cut that the box bound leaves out of the table has no
+        # LR filling of content kappa, so its term is 0
+        cases = dropped = kept = 0
+        for size in range(13):
+            for lam in partitions_of(size):
+                for c, m in itertools.product(range(2, 5), range(1, 5)):
+                    if m * c > size:
+                        continue
+                    cuts = [
+                        tau
+                        for tau in intermediates((lam, ()), size - m * c)
+                        if is_n_decomposable(SkewPartition(lam, tau), c)
+                    ]
+                    for kappa in partitions_of(m):
+                        listed = {tau for tau, _, _ in _cuts(lam.parts, c, kappa)}
+                        for tau in cuts:
+                            if tau in listed:
+                                kept += 1
+                                continue
+                            quotient = n_quotient(SkewPartition(lam, tau), c)
+                            assert _single_cycle(components_key(quotient), kappa) == 0, (lam, tau)
+                            dropped += 1
+                        cases += 1
+        assert (cases, dropped, kept) == (5418, 2560, 5254)
 
 
 class TestNQuotient:

@@ -1,14 +1,11 @@
-import importlib
 import itertools
 import operator
-import pkgutil
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-import defres
 from defres import (
     ClassFunction,
     Composition,
@@ -43,7 +40,7 @@ from defres.deflation import (
 )
 from defres.perms import with_cycle_type
 
-from conftest import sample_skews
+from conftest import defres_memos, sample_skews
 
 EX_SHAPE = SkewPartition((6, 5, 3, 2), (3, 1))
 BIG = SkewPartition((8, 5, 3, 2, 2, 2), (2, 2, 1, 1, 1))
@@ -247,6 +244,29 @@ class TestDefresRecursive:
                         nonzero += want != 0
                         negative += want < 0
         assert (checked, nonzero, negative) == (500, 206, 80)
+
+    def test_mixed_cycles_match_oracle_past_exhaustive_sizes(self):
+        # m * n in 20..24: a seeded sample of 10 shapes per cell, inner shape
+        # of at most 4 boxes, at every gamma with a part above 1 and a
+        # 1-cycle, so the walk reads a cut table and then walks 1-cycles;
+        # every kappa but trivial and sign
+        rng = random.Random(1)
+        checked = nonzero = negative = 0
+        for m, n in ((3, 7), (4, 5), (4, 6)):
+            gammas = [g for g in partitions_of(n) if g[0] > 1 and g[-1] == 1]
+            shapes = sample_skews(rng, m * n, 10)
+            for label in partitions_of(m)[1:-1]:
+                theta = irreducible_character(label)
+                for gamma in gammas:
+                    g = with_cycle_type(gamma, n)
+                    for shape in shapes:
+                        want = oracle_defres(shape, theta, n, g)
+                        got = defres_recursive(query(shape, m, label, gamma))
+                        assert got == want, (shape, label, gamma)
+                        checked += 1
+                        nonzero += want != 0
+                        negative += want < 0
+        assert (checked, nonzero, negative) == (400, 236, 109)
 
     def test_one_cycles_off_long_rows(self):
         # gamma = 1^4 at m = 7 on shapes with long rows, where the row bound
@@ -525,15 +545,7 @@ class TestRouteIndependence:
 
     @staticmethod
     def filled(route) -> set[str]:
-        memos = {}
-        for info in pkgutil.iter_modules(defres.__path__):
-            module = importlib.import_module(f"defres.{info.name}")
-            for attr, obj in vars(module).items():
-                if (
-                    callable(getattr(obj, "cache_clear", None))
-                    and getattr(obj, "__module__", None) == module.__name__
-                ):
-                    memos[f"{info.name}.{attr}"] = obj
+        memos = defres_memos()
         assert {"abacus._cuts", "borderstrips._a_count", "deflation._recursive"} <= set(memos)
         for memo in memos.values():
             memo.cache_clear()

@@ -1,4 +1,5 @@
 import ast
+import json
 import os
 import re
 import subprocess
@@ -65,6 +66,54 @@ def test_import_loads_no_dataclasses():
         check=True,
     )
     assert proc.stdout == "False\n"
+
+
+COLD_TWICE = """
+import json
+from conftest import defres_memos
+from defres import (
+    Composition, DeflationQuery, Partition, SkewPartition, defres_recursive, defres_theorem,
+    irreducible_character, oracle_defres,
+)
+from defres.perms import with_cycle_type
+
+shape = SkewPartition((12, 10, 8, 6, 4, 2), (4, 2))
+gamma = Composition((4, 3, 2, 1, 1, 1))
+theta = irreducible_character((2, 1))
+routes = {
+    "defres_recursive": lambda: defres_recursive(DeflationQuery(shape, 3, 12, Partition((2, 1)), gamma)),
+    "defres_theorem": lambda: defres_theorem(DeflationQuery(shape, 3, 12, Partition((3,)), gamma)),
+    "oracle_defres": lambda: oracle_defres(shape, theta, 12, with_cycle_type(gamma, 12)),
+}
+memos = defres_memos()
+misses = {}
+for name, route in routes.items():
+    for _ in range(2):
+        for memo in memos.values():
+            memo.cache_clear()
+        route()
+        misses.setdefault(name, []).append({k: m.cache_info().misses for k, m in memos.items()})
+print(json.dumps(misses))
+"""
+
+
+def test_cleared_memos_leave_no_work_behind():
+    # cold means cold: in a fresh interpreter, one query of each route run
+    # twice, every memo of the scan the benchmark clears emptied before each
+    # run, misses every memo equally often both times; a cache outside that
+    # scan would let the second run skip work
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_TWICE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(Path(__file__).parent)])},
+        check=True,
+    )
+    misses = json.loads(proc.stdout)
+    assert set(misses) == {"defres_recursive", "defres_theorem", "oracle_defres"}
+    for route, (first, second) in misses.items():
+        assert sum(first.values()) > 0, route
+        assert first == second, route
 
 
 def test_readme_python_api_values():
